@@ -10,6 +10,13 @@ kernels that differ only in the last bits of a projection give the same
 codes. Dense operators are rounded to 9 decimals before hashing: BLAS may
 sum the dense Hadamard product in another order on another machine, while
 a change in what is sampled moves entries by O(1).
+
+The Monte Carlo reports are pinned the same way. Their point counts, 131
+and 1031, are prime, so no block of rows that a batched path transforms
+at once divides them and the last block is always a partial one.
+Modulation reports at n_pad <= 64 are rounded to 12 decimals: there the
+Walsh-Hadamard transform is a single BLAS product, which BLAS may sum in
+another order for a batch of rows than for one vector.
 """
 
 import hashlib
@@ -24,7 +31,9 @@ from circembed.embedders import (
     sample_gaussian_operator,
     sample_randomized_operator,
 )
+from circembed.io import generate_pointset
 from circembed.rng import Stream
+from circembed.validation import distortion_experiment, hadamard_coherence_experiment
 
 
 def _sample(kind, n, k, seed, r_dist):
@@ -71,6 +80,31 @@ OPERATOR_DIGESTS = {
         "de11033a0b21563c4a55581f73a4c89725e273cd17c5314a0a24f789ea2bff3c",
 }
 
+# (kind, n) -> sha256 of per_trial_max + per_trial_mean of a 3-trial
+# distortion_experiment on 131 uniform points with k = _DISTORTION_K[n]
+_DISTORTION_K = {12: 8, 100: 32, 1000: 64}
+DISTORTION_DIGESTS = {
+    ("gaussian", 12): "142525df273eea4b6e550be5872d6650e06c8aa3dd23442ce84869281fc1d0cf",
+    ("gaussian", 100): "200de45ad8ea54a33b939bb1b886451387470dbe0df43bbbd86d167b5b7d3a40",
+    ("gaussian", 1000): "ddcddee7180d37d6ee3476928d28f7ca51d7fb779c50ec4c861000f34e88b8c8",
+    ("circulant", 12): "fc5bf4312451e713ea7327996a5aff0c0597ea95057b6ce62274bbf44b75c310",
+    ("circulant", 100): "1c6fe4cc9fce6c84bdf8e5275d0ac40841eea7686a70cef15a1172560d7e3c90",
+    ("circulant", 1000): "eedeadb01b43037b8c6cf9e4c78451454ee98c02dc56896c44089c461d733700",
+    ("randomized", 12): "637a3ff975a324c02b096b671172099637e0cd448c765f0fdfdf1e50bf42b32e",
+    ("randomized", 100): "22f77781a3163f4d75c38fd08fc16d1d76f0c0b496f44ea24c6306ee65218e41",
+    ("randomized", 1000): "8ec446ec9298c67e9458a7988bbc5ea791a69183f34caeb51d3c8e4f89c3eed2",
+}
+
+# (n, decimals) -> sha256 of per_trial_sup + per_trial_fraction of a 3-trial
+# hadamard_coherence_experiment on 1031 uniform points; None hashes exactly.
+# n = 12 and 50 pad to 16 and 64, n = 100 and 1000 to 128 and 1024.
+MODULATION_DIGESTS = {
+    (12, 12): "da7c9c440aa65757a289a45b56e654de9598acc13a01998e3c6ff24dff152ecf",
+    (50, 12): "bd7ef7a07eaf8da328882304ddfbabc4470a5e8f41c4c8bae3a0feb382a1f0bb",
+    (100, None): "fd155d60e348dd4473e778fe1e5d1d449eaa9b0b51cbf2884c1eb1c9a8a85871",
+    (1000, None): "e146e251790dbe2ed134abfade869f784bdf14225d18d1e732dfbdfe1e486325",
+}
+
 
 def _codes(case):
     n, seed = case[1], case[3]
@@ -95,3 +129,22 @@ def test_embed_points_codes_are_pinned(case):
 @pytest.mark.parametrize("case", sorted(OPERATOR_DIGESTS), ids=_case_id)
 def test_materialized_operator_is_pinned(case):
     assert _sha256(_dense(case)) == OPERATOR_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(DISTORTION_DIGESTS), ids=_case_id)
+def test_distortion_experiment_is_pinned(case):
+    kind, n = case
+    ps = generate_pointset("uniform_sphere", n, 131, 300 + n)
+    rep = distortion_experiment(ps, kind, _DISTORTION_K[n], 3, 310 + n)
+    assert _sha256(np.array(rep.per_trial_max + rep.per_trial_mean)) == DISTORTION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(MODULATION_DIGESTS, key=str), ids=_case_id)
+def test_hadamard_coherence_experiment_is_pinned(case):
+    n, decimals = case
+    ps = generate_pointset("uniform_sphere", n, 1031, 400 + n)
+    rep = hadamard_coherence_experiment(ps, 3, 410 + n)
+    got = np.array(rep.per_trial_sup + rep.per_trial_fraction)
+    if decimals is not None:
+        got = np.round(got, decimals) + 0.0
+    assert _sha256(got) == MODULATION_DIGESTS[case]
