@@ -26,14 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedders import (
-    embed_points,
-    sample_circulant_operator,
-    sample_gaussian_operator,
-    sample_randomized_operator,
-    serialize_operator,
-    deserialize_operator,
-)
+from .embedders import embed_points, serialize_operator, deserialize_operator
 from .errors import ParseError
 from .geometry import coherence
 from .io import (
@@ -45,7 +38,7 @@ from .io import (
     save_pointset,
     save_result,
 )
-from .validation import distortion_experiment, evaluate_codes, run_gate_suite, sweep
+from .validation import _SAMPLERS, evaluate_codes, run_gate_suite, sweep
 
 __all__ = ["main", "RunConfig"]
 
@@ -63,16 +56,6 @@ class RunConfig:
 
 def _float_fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def _sample_operator(kind: str, n: int, k: int, seed: int, r_dist: str):
-    if kind == "gaussian":
-        return sample_gaussian_operator(n, k, seed)
-    if kind == "circulant":
-        return sample_circulant_operator(n, k, seed, r_dist=r_dist)
-    if kind == "randomized":
-        return sample_randomized_operator(n, k, seed, r_dist=r_dist)
-    raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def cmd_gen(args) -> int:
@@ -94,8 +77,8 @@ def cmd_gen(args) -> int:
 
 def cmd_embed(args) -> int:
     ps = load_pointset(args.pointset)
-    op = _sample_operator(args.kind, ps.n, args.k, args.seed, args.r_dist)
-    codes = embed_points(op, ps.points, threads=args.threads)
+    op = _SAMPLERS[args.kind](ps.n, args.k, args.seed, args.r_dist)
+    codes = embed_points(op, ps.points)
     save_codes(codes, args.out)
     sidecar = args.operator_out or (str(args.out) + ".beop")
     Path(sidecar).write_bytes(serialize_operator(op))
@@ -124,8 +107,8 @@ def cmd_eval(args) -> int:
     else:
         if args.kind is None or args.k is None:
             raise ValueError("eval needs either --codes or --kind plus --k")
-        op = _sample_operator(args.kind, ps.n, args.k, args.seed, args.r_dist)
-        codes = embed_points(op, ps.points, threads=args.threads)
+        op = _SAMPLERS[args.kind](ps.n, args.k, args.seed, args.r_dist)
+        codes = embed_points(op, ps.points)
         op_echo = {"kind": args.kind, "k": args.k, "seed": args.seed, "r_dist": args.r_dist}
         report = evaluate_codes(ps, codes, delta_target=args.delta, kind=args.kind, seed=args.seed)
     doc = ResultDocument(
@@ -234,7 +217,7 @@ def _add_common(p, threads=True):
     if threads:
         p.add_argument(
             "--threads", type=int, default=os.cpu_count() or 1,
-            help="worker threads; results do not depend on this",
+            help="worker threads for Monte Carlo trials; results do not depend on this",
         )
 
 

@@ -187,12 +187,27 @@ def sample_randomized_operator(n: int, k: int, seed: int, r_dist: str = "gaussia
     return RandomizedOperator(inner=inner, b=b, n_orig=n, seed=seed)
 
 
-def _pad(v: np.ndarray, n_pad: int) -> np.ndarray:
-    if v.size == n_pad:
-        return v
-    out = np.zeros(n_pad)
-    out[: v.size] = v
-    return out
+# Rows are projected in blocks of about this many input entries, so the
+# temporaries of one block stay cache-sized and memory does not grow with
+# the number of rows.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(N: int, width: int) -> list:
+    """Slices that split N rows of ``width`` entries into blocks."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(i, i + step) for i in range(0, N, step)]
+
+
+def _hadamard_mix(P: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unnormalized H diag(b) applied to each row of P, zero-padded to len(b).
+
+    Returns a fresh (N, len(b)) array; the transform runs in place on it.
+    """
+    w = np.zeros((P.shape[0], b.size))
+    np.multiply(P, b[: P.shape[1]], out=w[:, : P.shape[1]])
+    _fwht_inplace(w)
+    return w
 
 
 def _sign(t: np.ndarray) -> np.ndarray:
@@ -200,19 +215,25 @@ def _sign(t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.0, 1, -1).astype(np.int8)
 
 
-def _project(op: Operator, v: np.ndarray) -> np.ndarray:
+def _project(op: Operator, P: np.ndarray) -> np.ndarray:
+    """Projections of the rows of an (N, n_in) block: an (N, k) array."""
     if isinstance(op, GaussianOperator):
-        return op.G @ v
+        return P @ op.G.T
     if isinstance(op, CirculantOperator):
-        return _correlate(op._fh, op.r * v)[op.S]
+        return _correlate(op._fh, P * op.r).take(op.S, axis=1)
     if isinstance(op, RandomizedOperator):
-        # the product below is a fresh temporary we own, so the transform
-        # may run in place; its unitary 1/sqrt(n) scale lives in _r_scaled
-        w = op.b * _pad(v, op.n_pad)
-        _fwht_inplace(w)
+        # the unitary 1/sqrt(n) scale of the transform lives in _r_scaled
+        w = _hadamard_mix(P, op.b)
         w *= op._r_scaled
-        return _correlate(op.inner._fh, w)[op.inner.S]
+        return _correlate(op.inner._fh, w).take(op.inner.S, axis=1)
     raise TypeError(f"not an operator: {type(op).__name__}")
+
+
+def _codes(op: Operator, P: np.ndarray) -> np.ndarray:
+    # min/max reductions catch NaN and Inf without allocating a mask
+    if not (math.isfinite(float(P.min())) and math.isfinite(float(P.max()))):
+        raise ValueError("input contains NaN or Inf")
+    return _sign(_project(op, P))
 
 
 def embed(op: Operator, x) -> np.ndarray:
@@ -220,35 +241,26 @@ def embed(op: Operator, x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size != op.n_in:
         raise ValueError(f"expected a vector of length {op.n_in}, got shape {v.shape}")
-    # min/max reductions catch NaN and Inf without allocating a mask
-    if not (math.isfinite(float(v.min())) and math.isfinite(float(v.max()))):
-        raise ValueError("input contains NaN or Inf")
-    return _sign(_project(op, v))
+    return _codes(op, v[None, :])[0]
 
 
-def embed_points(op: Operator, points, threads: int = 1) -> np.ndarray:
+def embed_points(op: Operator, points) -> np.ndarray:
     """Embed each row of ``points``; returns an (N, k) int8 code matrix.
 
-    Rows are independent, so work may fan out across threads; output order
-    follows input order regardless of the thread count, and each row's code
-    is computed by the identical single-vector path either way.
+    Rows go through the projection of ``embed`` a block at a time, as one
+    matrix product (gaussian) or as FFTs and Walsh-Hadamard transforms along
+    the last axis of the block (circulant, randomized). BLAS may sum a block
+    in another order than a single vector, so a row's code can differ from
+    ``embed`` of that row only where a projection lies within rounding of 0.
     """
     P = np.asarray(points, dtype=np.float64)
     if P.ndim == 1:
         P = P[None, :]
-    if P.ndim != 2:
-        raise ValueError("points must be a vector or an N x n matrix")
-    N = P.shape[0]
-    out = np.empty((N, op.k), dtype=np.int8)
-    if threads <= 1 or N == 1:
-        for i in range(N):
-            out[i] = embed(op, P[i])
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            for i, code in enumerate(ex.map(lambda row: embed(op, row), P)):
-                out[i] = code
+    if P.ndim != 2 or P.shape[1] != op.n_in:
+        raise ValueError(f"points must be a vector or an N x {op.n_in} matrix, got shape {P.shape}")
+    out = np.empty((P.shape[0], op.k), dtype=np.int8)
+    for rows in _row_blocks(P.shape[0], op.n_in):
+        out[rows] = _codes(op, P[rows])
     return out
 
 

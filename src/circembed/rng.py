@@ -54,14 +54,22 @@ class Stream:
         if m < 0:
             raise ValueError("size must be nonnegative")
         pairs = (m + 1) // 2
-        u1 = self._gen.random(pairs)
-        u2 = self._gen.random(pairs)
-        # 1 - u1 lies in (0, 1], so the log below is always finite
-        rad = np.sqrt(-2.0 * np.log1p(-u1))
-        ang = (2.0 * np.pi) * u2
+        # the uniforms become the radius and the angle in place, and the
+        # cosine and sine land straight in the output, so no full-size
+        # temporary is made
+        rad = self._gen.random(pairs)
+        ang = self._gen.random(pairs)
+        # 1 - u lies in (0, 1], so the log below is always finite
+        np.log1p(np.negative(rad, out=rad), out=rad)
+        rad *= -2.0
+        np.sqrt(rad, out=rad)
+        ang *= 2.0 * np.pi
         out = np.empty(2 * pairs)
-        out[0::2] = rad * np.cos(ang)
-        out[1::2] = rad * np.sin(ang)
+        even, odd = out[0::2], out[1::2]
+        np.cos(ang, out=even)
+        even *= rad
+        np.sin(ang, out=odd)
+        odd *= rad
         return out[:m]
 
     def rademacher(self, size: int) -> np.ndarray:

@@ -442,13 +442,17 @@ class ModulationReport:
     per_trial_fraction: tuple
 
 
-def modulation_sample(points_padded: np.ndarray, b: np.ndarray, good_threshold: float):
-    """One modulation draw: returns (sup-infinity-norm, fraction under threshold)."""
-    from .transforms import fwht
+def modulation_sample(points: np.ndarray, b: np.ndarray, good_threshold: float):
+    """One modulation draw: returns (sup-infinity-norm, fraction under threshold).
 
-    inf_norms = np.empty(points_padded.shape[0])
-    for i, row in enumerate(points_padded):
-        inf_norms[i] = np.abs(fwht(b * row)).max()
+    Rows of ``points`` are zero-padded to the length of ``b`` and
+    transformed a block of rows at a time.
+    """
+    P = np.asarray(points, dtype=np.float64)
+    blocks = embedders._row_blocks(P.shape[0], b.size)
+    inf_norms = np.concatenate([np.abs(embedders._hadamard_mix(P[rows], b)).max(axis=1) for rows in blocks])
+    # the unitary scale is positive, so it commutes with the max
+    inf_norms *= 1.0 / math.sqrt(b.size)
     return float(inf_norms.max()), float((inf_norms <= good_threshold).mean())
 
 
@@ -465,19 +469,13 @@ def hadamard_coherence_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = ps.n
-    n_pad = 1 << max(n - 1, 0).bit_length()
-    P = ps.points
-    if n_pad != n:
-        Ppad = np.zeros((ps.N, n_pad))
-        Ppad[:, :n] = P
-    else:
-        Ppad = P
+    n_pad = embedders._next_pow2(n)
     bound = (math.sqrt(math.log(n_pad)) + math.sqrt(math.log(ps.N))) / math.sqrt(n_pad)
     good_threshold = good_const * math.sqrt(math.log(n_pad) / n_pad)
 
     def run_trial(t: int):
         b = Rng(derive_seed(seed, f"trial:{t}")).stream("b").rademacher(n_pad)
-        return modulation_sample(Ppad, b, good_threshold)
+        return modulation_sample(ps.points, b, good_threshold)
 
     rows = _map_trials(run_trial, trials, threads)
     sups = tuple(r[0] for r in rows)

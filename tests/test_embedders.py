@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circembed import embedders
 from circembed.embedders import (
     deserialize_operator,
     embed,
@@ -18,11 +19,6 @@ from circembed.embedders import (
 from circembed.errors import ParseError
 from circembed.geometry import angular_distance, hamming_normalized
 from circembed.rng import Rng, Stream, derive_seed
-
-
-def unit(v):
-    v = np.asarray(v, dtype=np.float64)
-    return v / np.linalg.norm(v)
 
 
 SAMPLERS = {
@@ -161,21 +157,37 @@ def test_dense_materialization_non_power_of_two():
 
 # ---------------------------------------------------------------- batches
 
-def test_embed_points_matches_single_calls():
-    op = sample_randomized_operator(24, 6, 4)
-    pts = np.stack([unit(Stream(i, "row").normals(24)) for i in range(5)])
+@pytest.mark.parametrize("n", [1, 2, 24, 64, 100, 1000])
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_embed_points_matches_single_calls(kind, n):
+    op = SAMPLERS[kind](n, min(n, 6), 4)
+    step = max(1, embedders._BLOCK_ENTRIES // n)
+    N = 2 * step + 3  # two whole blocks of rows and a partial one
+    pts = Stream(n, "rows").normals(N * n).reshape(N, n)
     batch = embed_points(op, pts)
-    assert batch.shape == (5, 6) and batch.dtype == np.int8
-    for i in range(5):
+    assert batch.shape == (N, op.k) and batch.dtype == np.int8
+    # the rows on each side of every block edge, plus a random sample
+    edges = {0, step - 1, step, 2 * step - 1, 2 * step, N - 1}
+    for i in sorted(edges | set(Stream(n, "pick").integers(0, N, 24).tolist())):
         np.testing.assert_array_equal(batch[i], embed(op, pts[i]))
 
 
-def test_embed_points_thread_count_does_not_change_output():
-    op = sample_circulant_operator(64, 32, 8)
-    pts = np.stack([unit(Stream(i, "trow").normals(64)) for i in range(16)])
-    np.testing.assert_array_equal(
-        embed_points(op, pts, threads=1), embed_points(op, pts, threads=4)
-    )
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_embed_points_of_no_rows_is_empty(kind):
+    op = SAMPLERS[kind](24, 6, 4)
+    codes = embed_points(op, np.empty((0, 24)))
+    assert codes.shape == (0, 6) and codes.dtype == np.int8
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_embed_points_rejects_a_nan_row(kind):
+    op = SAMPLERS[kind](24, 6, 4)
+    pts = Stream(1, "nan").normals(5 * 24).reshape(5, 24)
+    pts[3, 7] = np.nan
+    with pytest.raises(ValueError):
+        embed_points(op, pts)
+    with pytest.raises(ValueError):
+        embed_points(op, np.ones((5, 23)))
 
 
 # ------------------------------------------------------------- round trips

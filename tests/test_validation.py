@@ -6,7 +6,7 @@ import pytest
 from circembed.geometry import PointSet
 from circembed.io import generate_pointset
 from circembed.rng import Stream, derive_seed
-from circembed.transforms import hadamard_matrix
+from circembed.transforms import fwht, hadamard_matrix
 from circembed.validation import (
     _power_iteration,
     check_condition1,
@@ -222,6 +222,23 @@ def test_modulation_sample_hadamard_rows_concentrate():
     sup, frac = modulation_sample(np.eye(8), np.ones(8), 0.5)
     assert sup == pytest.approx(1.0 / math.sqrt(8))
     assert frac == 1.0
+
+
+@pytest.mark.parametrize("n", [12, 100, 1000])
+def test_modulation_sample_matches_per_row_fwht(n):
+    # 1031 rows: several blocks of rows and a partial last one at n >= 100
+    ps = generate_pointset("uniform_sphere", n, 1031, 17)
+    n_pad = 1 << (n - 1).bit_length()
+    b = Stream(n, "modulation").rademacher(n_pad)
+    padded = np.zeros((ps.N, n_pad))
+    padded[:, :n] = ps.points
+    ref = np.sort([np.abs(fwht(b * row)).max() for row in padded])
+    for q in (100, 515, 900):
+        # a threshold between two rows that rounding cannot move across
+        assert ref[q] - ref[q - 1] > 1e-12 * ref[q]
+        sup, frac = modulation_sample(ps.points, b, (ref[q - 1] + ref[q]) / 2)
+        assert sup == pytest.approx(ref[-1], rel=1e-15, abs=0.0)
+        assert frac == q / ps.N
 
 
 def test_hadamard_coherence_report_consistency():
