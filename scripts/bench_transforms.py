@@ -4,7 +4,9 @@
 Times fwht, circulant_apply, and the three embed paths over a geometric
 range of sizes and prints per-doubling growth ratios. Near-linear kernels
 should stay close to 2.0; the 2.5 acceptance line leaves headroom for FFT
-log factors and cache effects.
+log factors and cache effects. A second table times the batched paths at
+fixed sizes: embed_points of N=1000 points at n=1024, k=256 for each kind,
+and one trial of hadamard_coherence_experiment on the same points.
 
 Usage:
     python3 scripts/bench_transforms.py --min-pow 14 --max-pow 20 --calls 20
@@ -16,9 +18,17 @@ import time
 
 import numpy as np
 
-from circembed.embedders import embed, sample_circulant_operator, sample_randomized_operator
+from circembed.embedders import (
+    embed,
+    embed_points,
+    sample_circulant_operator,
+    sample_gaussian_operator,
+    sample_randomized_operator,
+)
+from circembed.io import generate_pointset
 from circembed.rng import Rng
 from circembed.transforms import circulant_apply, fwht
+from circembed.validation import hadamard_coherence_experiment
 
 
 def time_callable(fn, calls: int, repeats: int) -> float:
@@ -45,6 +55,20 @@ def build_cases(n: int, seed: int):
         ("embed circulant", lambda: embed(circ, x)),
         ("embed randomized", lambda: embed(rand, x)),
     ]
+
+
+def build_batched_cases(seed: int):
+    ps = generate_pointset("uniform_sphere", 1024, 1000, seed)
+    cases = []
+    for kind, sampler in (
+        ("gaussian", sample_gaussian_operator),
+        ("circulant", sample_circulant_operator),
+        ("randomized", sample_randomized_operator),
+    ):
+        op = sampler(1024, 256, seed)
+        cases.append((f"embed_points {kind}", lambda op=op: embed_points(op, ps.points)))
+    cases.append(("hadamard trial", lambda: hadamard_coherence_experiment(ps, 1, seed)))
+    return cases
 
 
 def main() -> int:
@@ -77,6 +101,11 @@ def main() -> int:
         ts = table[name]
         ratios = " ".join(f"{ts[i + 1] / ts[i]:5.2f}" for i in range(len(ts) - 1))
         print(f"  {name.ljust(18)} {ratios}")
+    print()
+    print("batched paths, N=1000 points at n=1024 (k=256):")
+    for name, fn in build_batched_cases(args.seed):
+        fn()
+        print(f"  {name.ljust(24)} {time_callable(fn, args.calls, args.repeats) * 1e3:10.3f}ms")
     return 0
 
 

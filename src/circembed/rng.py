@@ -54,9 +54,8 @@ class Stream:
         if m < 0:
             raise ValueError("size must be nonnegative")
         pairs = (m + 1) // 2
-        # the uniforms become the radius and the angle in place, and the
-        # cosine and sine land straight in the output, so no full-size
-        # temporary is made
+        # Box-Muller in place: the uniforms become the radius and the angle,
+        # and cos and sin write straight into the output
         rad = self._gen.random(pairs)
         ang = self._gen.random(pairs)
         # 1 - u lies in (0, 1], so the log below is always finite

@@ -180,7 +180,7 @@ def test_embed_points_of_no_rows_is_empty(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLERS))
-def test_embed_points_rejects_a_nan_row(kind):
+def test_embed_points_rejects_a_nan_row_and_a_wrong_width(kind):
     op = SAMPLERS[kind](24, 6, 4)
     pts = Stream(1, "nan").normals(5 * 24).reshape(5, 24)
     pts[3, 7] = np.nan
