@@ -19,10 +19,11 @@ import time
 import numpy as np
 
 from circembed.embedders import (
+    KINDS,
     embed,
     embed_points,
     sample_circulant_operator,
-    sample_gaussian_operator,
+    sample_operator,
     sample_randomized_operator,
 )
 from circembed.io import generate_pointset
@@ -60,12 +61,8 @@ def build_cases(n: int, seed: int):
 def build_batched_cases(seed: int):
     ps = generate_pointset("uniform_sphere", 1024, 1000, seed)
     cases = []
-    for kind, sampler in (
-        ("gaussian", sample_gaussian_operator),
-        ("circulant", sample_circulant_operator),
-        ("randomized", sample_randomized_operator),
-    ):
-        op = sampler(1024, 256, seed)
+    for kind in KINDS:
+        op = sample_operator(kind, 1024, 256, seed)
         cases.append((f"embed_points {kind}", lambda op=op: embed_points(op, ps.points)))
     cases.append(("hadamard trial", lambda: hadamard_coherence_experiment(ps, 1, seed)))
     return cases

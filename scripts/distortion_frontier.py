@@ -17,6 +17,7 @@ import csv
 
 import numpy as np
 
+from circembed.embedders import KINDS
 from circembed.io import generate_pointset
 from circembed.rng import derive_seed
 from circembed.validation import distortion_experiment
@@ -28,7 +29,7 @@ def main() -> int:
                     choices=["uniform_sphere", "flat_signs", "spiky", "clustered_pairs"])
     ap.add_argument("--n", type=int, default=1024)
     ap.add_argument("--N", type=int, default=32)
-    ap.add_argument("--kind-list", default="gaussian,circulant,randomized")
+    ap.add_argument("--kind-list", default=",".join(KINDS))
     ap.add_argument("--k-list", default="64,128,256,512,1024")
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--delta", type=float, default=0.15)
@@ -38,6 +39,9 @@ def main() -> int:
     args = ap.parse_args()
 
     kinds = [s.strip() for s in args.kind_list.split(",") if s.strip()]
+    unknown = sorted(set(kinds) - set(KINDS))
+    if unknown:
+        ap.error(f"unknown kinds in --kind-list: {', '.join(unknown)} (choose from {', '.join(KINDS)})")
     ks = [int(s) for s in args.k_list.split(",") if s.strip()]
     ps = generate_pointset(args.pointset_kind, args.n, args.N,
                            derive_seed(args.seed, "frontier:pointset"))

@@ -9,6 +9,7 @@ coherence-reduction behavior.
 """
 
 from .embedders import (
+    KINDS,
     CirculantOperator,
     GaussianOperator,
     RandomizedOperator,
@@ -18,6 +19,7 @@ from .embedders import (
     materialize_operator,
     sample_circulant_operator,
     sample_gaussian_operator,
+    sample_operator,
     sample_randomized_operator,
     serialize_operator,
 )

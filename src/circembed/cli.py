@@ -21,12 +21,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embedders import embed_points, serialize_operator, deserialize_operator
+from .embedders import KINDS, deserialize_operator, embed_points, sample_operator, serialize_operator
 from .errors import ParseError
 from .geometry import coherence
 from .io import (
@@ -38,20 +37,9 @@ from .io import (
     save_pointset,
     save_result,
 )
-from .validation import _SAMPLERS, evaluate_codes, run_gate_suite, sweep
+from .validation import evaluate_codes, run_gate_suite, sweep
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; echoed into every output document."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"subcommand": self.subcommand, **self.options}
+__all__ = ["main"]
 
 
 def _float_fmt(v: float) -> str:
@@ -77,7 +65,7 @@ def cmd_gen(args) -> int:
 
 def cmd_embed(args) -> int:
     ps = load_pointset(args.pointset)
-    op = _SAMPLERS[args.kind](ps.n, args.k, args.seed, args.r_dist)
+    op = sample_operator(args.kind, ps.n, args.k, args.seed, args.r_dist)
     codes = embed_points(op, ps.points)
     save_codes(codes, args.out)
     sidecar = args.operator_out or (str(args.out) + ".beop")
@@ -88,13 +76,6 @@ def cmd_embed(args) -> int:
 
 def cmd_eval(args) -> int:
     ps = load_pointset(args.pointset)
-    config = RunConfig(
-        "eval",
-        {
-            "pointset": str(args.pointset),
-            "delta_target": args.delta,
-        },
-    )
     if args.codes:
         codes = load_codes(args.codes)
         op_echo = {"codes": str(args.codes)}
@@ -107,15 +88,23 @@ def cmd_eval(args) -> int:
     else:
         if args.kind is None or args.k is None:
             raise ValueError("eval needs either --codes or --kind plus --k")
-        op = _SAMPLERS[args.kind](ps.n, args.k, args.seed, args.r_dist)
+        op = sample_operator(args.kind, ps.n, args.k, args.seed, args.r_dist)
         codes = embed_points(op, ps.points)
         op_echo = {"kind": args.kind, "k": args.k, "seed": args.seed, "r_dist": args.r_dist}
         report = evaluate_codes(ps, codes, delta_target=args.delta, kind=args.kind, seed=args.seed)
     doc = ResultDocument(
         kind="eval",
-        params={**config.as_dict(), **op_echo, "n": ps.n, "N": ps.N, "k": report.k},
+        params={
+            "subcommand": "eval",
+            "pointset": str(args.pointset),
+            "delta_target": args.delta,
+            **op_echo,
+            "n": ps.n,
+            "N": ps.N,
+            "k": report.k,
+        },
         stats=report.to_stats(),
-        arrays={"per_pair": [list(row) for row in (report.per_pair or ())]},
+        arrays={"per_pair": report.per_pair},
     )
     if args.out:
         save_result(doc, args.out)
@@ -241,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="embed a point set into sign codes")
     p.add_argument("--pointset", required=True)
-    p.add_argument("--kind", required=True, choices=["gaussian", "circulant", "randomized"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--k", type=int, required=True, help="code length")
     p.add_argument("--r-dist", default="gaussian", choices=["gaussian", "rademacher"],
                    help="distribution of the modulation vector r")
@@ -254,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pointset", required=True)
     p.add_argument("--codes", default=None, help="codes CSV written by embed")
     p.add_argument("--operator", default=None, help="operator sidecar, echoed into the report")
-    p.add_argument("--kind", default=None, choices=["gaussian", "circulant", "randomized"])
+    p.add_argument("--kind", default=None, choices=KINDS)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--r-dist", default="gaussian", choices=["gaussian", "rademacher"])
     p.add_argument("--delta", type=float, default=0.15, help="distortion target")
@@ -264,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="distortion grid over k and delta")
     p.add_argument("--pointset", required=True)
-    p.add_argument("--kind", required=True, choices=["gaussian", "circulant", "randomized"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--k-list", required=True, help="comma-separated code lengths")
     p.add_argument("--delta-list", required=True, help="comma-separated distortion targets")
     p.add_argument("--trials", type=int, default=20)

@@ -32,6 +32,7 @@ from .rng import Rng
 from .transforms import _correlate, _fwht_inplace, hadamard_matrix, shift
 
 __all__ = [
+    "KINDS",
     "GaussianOperator",
     "CirculantOperator",
     "RandomizedOperator",
@@ -39,6 +40,7 @@ __all__ = [
     "sample_gaussian_operator",
     "sample_circulant_operator",
     "sample_randomized_operator",
+    "sample_operator",
     "embed",
     "embed_points",
     "materialize_operator",
@@ -49,13 +51,17 @@ __all__ = [
 _U64 = (1 << 64) - 1
 _MAGIC = b"BEOP1"
 _RECORD_LEN = 30  # 5 magic + 1 kind + 3 * 8 little-endian u64
-_KIND_GAUSSIAN, _KIND_CIRCULANT, _KIND_RANDOMIZED = 0, 1, 2
+
+# The operator kinds; a kind's index here is its BEOP1 kind byte.
+KINDS = ("gaussian", "circulant", "randomized")
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianOperator:
     G: np.ndarray  # (k, n)
     seed: int
+    kind = "gaussian"
+    r_dist = "gaussian"  # no modulation vector; the default, so it serializes
 
     def __post_init__(self):
         if self.G.ndim != 2 or 0 in self.G.shape:
@@ -81,6 +87,7 @@ class CirculantOperator:
     S: np.ndarray  # k distinct row indices, order-significant
     seed: int
     r_dist: str = "gaussian"
+    kind = "circulant"
 
     def __post_init__(self):
         if self.h.ndim != 1 or self.h.shape != self.r.shape:
@@ -113,6 +120,7 @@ class RandomizedOperator:
     b: np.ndarray  # (n_pad,) signs
     n_orig: int
     seed: int
+    kind = "randomized"
 
     def __post_init__(self):
         if self.b.shape != (self.inner.n,):
@@ -131,6 +139,10 @@ class RandomizedOperator:
     @property
     def n_in(self) -> int:
         return self.n_orig
+
+    @property
+    def r_dist(self) -> str:
+        return self.inner.r_dist
 
     @cached_property
     def _r_scaled(self) -> np.ndarray:
@@ -185,6 +197,19 @@ def sample_randomized_operator(n: int, k: int, seed: int, r_dist: str = "gaussia
     inner = sample_circulant_operator(n_pad, k, seed, r_dist=r_dist)
     b = Rng(seed).stream("randomized:b").rademacher(n_pad)
     return RandomizedOperator(inner=inner, b=b, n_orig=n, seed=seed)
+
+
+def sample_operator(kind: str, n: int, k: int, seed: int, r_dist: str = "gaussian") -> Operator:
+    """Sample an operator of one of ``KINDS``; gaussian has no r and ignores r_dist."""
+    # called by their module-level names, so that a wrapper bound to one of
+    # those names (the perfbench tracer installs such wrappers) sees the call
+    if kind == "gaussian":
+        return sample_gaussian_operator(n, k, seed)
+    if kind == "circulant":
+        return sample_circulant_operator(n, k, seed, r_dist=r_dist)
+    if kind == "randomized":
+        return sample_randomized_operator(n, k, seed, r_dist=r_dist)
+    raise ValueError(f"unknown operator kind {kind!r}; expected one of {', '.join(KINDS)}")
 
 
 # Rows are projected in blocks of about this many input entries, so the
@@ -277,9 +302,7 @@ def materialize_operator(op: Operator) -> np.ndarray:
         rows = np.stack([shift(op.h, int(i)) for i in op.S])
         return rows * op.r[None, :]
     if isinstance(op, RandomizedOperator):
-        inner = op.inner
-        rows = np.stack([shift(inner.h, int(i)) for i in inner.S])
-        A = (rows * inner.r[None, :]) @ hadamard_matrix(op.n_pad)
+        A = materialize_operator(op.inner) @ hadamard_matrix(op.n_pad)
         A = A * op.b[None, :]
         return A[:, : op.n_orig]
     raise TypeError(f"not an operator: {type(op).__name__}")
@@ -288,28 +311,17 @@ def materialize_operator(op: Operator) -> np.ndarray:
 def serialize_operator(op: Operator) -> bytes:
     """30-byte record: magic, kind byte, then n, k, seed as little-endian u64.
 
-    Parameters are regenerated from the seed on load, never stored raw, so
-    only operators sampled with the default r distribution serialize.
+    The kind byte is the index of ``op.kind`` in ``KINDS`` and n is the
+    input dimension. Parameters are regenerated from the seed on load, never
+    stored raw, so only operators sampled with the default r distribution
+    serialize.
     """
-    if isinstance(op, GaussianOperator):
-        kind, n = _KIND_GAUSSIAN, op.n
-    elif isinstance(op, CirculantOperator):
-        _require_default_r(op)
-        kind, n = _KIND_CIRCULANT, op.n
-    elif isinstance(op, RandomizedOperator):
-        _require_default_r(op.inner)
-        kind, n = _KIND_RANDOMIZED, op.n_orig
-    else:
-        raise TypeError(f"not an operator: {type(op).__name__}")
-    return _MAGIC + bytes([kind]) + struct.pack("<QQQ", n, op.k, op.seed & _U64)
-
-
-def _require_default_r(inner: CirculantOperator) -> None:
-    if inner.r_dist != "gaussian":
+    if op.r_dist != "gaussian":
         raise ValueError(
             "the serialization format has no field for r_dist; "
             "only the default gaussian r is serializable"
         )
+    return _MAGIC + bytes([KINDS.index(op.kind)]) + struct.pack("<QQQ", op.n_in, op.k, op.seed & _U64)
 
 
 def deserialize_operator(data: bytes) -> Operator:
@@ -318,7 +330,7 @@ def deserialize_operator(data: bytes) -> Operator:
     if len(data) < 6:
         raise ParseError("record truncated before kind byte", 5)
     kind = data[5]
-    if kind not in (_KIND_GAUSSIAN, _KIND_CIRCULANT, _KIND_RANDOMIZED):
+    if kind >= len(KINDS):
         raise ParseError(f"unknown operator kind {kind}", 5)
     if len(data) < _RECORD_LEN:
         raise ParseError("record truncated", len(data))
@@ -326,10 +338,6 @@ def deserialize_operator(data: bytes) -> Operator:
         raise ParseError(f"trailing bytes after {_RECORD_LEN}-byte record", _RECORD_LEN)
     n, k, seed = struct.unpack("<QQQ", data[6:_RECORD_LEN])
     try:
-        if kind == _KIND_GAUSSIAN:
-            return sample_gaussian_operator(n, k, seed)
-        if kind == _KIND_CIRCULANT:
-            return sample_circulant_operator(n, k, seed)
-        return sample_randomized_operator(n, k, seed)
+        return sample_operator(KINDS[kind], n, k, seed)
     except ValueError as e:
         raise ParseError(f"invalid operator parameters n={n}, k={k}: {e}", 6) from e

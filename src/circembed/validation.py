@@ -131,7 +131,7 @@ class DistortionReport:
     success_fraction: float
     per_trial_max: tuple
     per_trial_mean: tuple
-    per_pair: Optional[tuple] = None  # (i, j, hamming, angular, diff); single-trial runs only
+    per_pair: Optional[tuple] = None  # (i, j, hamming, angular, diff); set by evaluate_codes only
 
     def to_stats(self) -> dict:
         return {
@@ -139,13 +139,6 @@ class DistortionReport:
             "mean_distortion": self.mean_distortion,
             "success_fraction": self.success_fraction,
         }
-
-
-_SAMPLERS = {
-    "gaussian": lambda n, k, s, r_dist: embedders.sample_gaussian_operator(n, k, s),
-    "circulant": embedders.sample_circulant_operator,
-    "randomized": embedders.sample_randomized_operator,
-}
 
 
 def _angular_pairs(points: np.ndarray):
@@ -175,7 +168,6 @@ def distortion_experiment(
     delta_target: float = 0.15,
     r_dist: str = "gaussian",
     threads: int = 1,
-    keep_pairs: bool = False,
 ) -> DistortionReport:
     """Worst-pair and mean |hamming - angular| over freshly sampled operators.
 
@@ -183,28 +175,20 @@ def distortion_experiment(
     and scan all N(N-1)/2 pairs. success_fraction counts trials whose worst
     pair stayed at or below delta_target.
     """
-    if kind not in _SAMPLERS:
+    if kind not in embedders.KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sampler = _SAMPLERS[kind]
     P = ps.points
     iu, ang = _angular_pairs(P)
 
     def run_trial(t: int):
-        op = sampler(ps.n, k, derive_seed(seed, f"trial:{t}"), r_dist)
+        op = embedders.sample_operator(kind, ps.n, k, derive_seed(seed, f"trial:{t}"), r_dist)
         codes = embedders.embed_points(op, P)
         if iu[0].size == 0:
-            return 0.0, 0.0, None
-        ham = _hamming_pairs(codes, iu)
-        diff = np.abs(ham - ang)
-        pairs = None
-        if keep_pairs and trials == 1:
-            pairs = tuple(
-                (int(i), int(j), float(h), float(a), float(d))
-                for i, j, h, a, d in zip(iu[0], iu[1], ham, ang, diff)
-            )
-        return float(diff.max()), float(diff.mean()), pairs
+            return 0.0, 0.0
+        diff = np.abs(_hamming_pairs(codes, iu) - ang)
+        return float(diff.max()), float(diff.mean())
 
     rows = _map_trials(run_trial, trials, threads)
     per_max = tuple(r[0] for r in rows)
@@ -223,7 +207,6 @@ def distortion_experiment(
         success_fraction=succ,
         per_trial_max=per_max,
         per_trial_mean=per_mean,
-        per_pair=rows[0][2],
     )
 
 
@@ -241,10 +224,7 @@ def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, 
     else:
         ham = _hamming_pairs(codes, iu)
         diff = np.abs(ham - ang)
-        per_pair = tuple(
-            (int(i), int(j), float(h), float(a), float(d))
-            for i, j, h, a, d in zip(iu[0], iu[1], ham, ang, diff)
-        )
+        per_pair = tuple(zip(iu[0].tolist(), iu[1].tolist(), ham.tolist(), ang.tolist(), diff.tolist()))
         mx, mean = float(diff.max()), float(diff.mean())
     return DistortionReport(
         kind=kind,

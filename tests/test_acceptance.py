@@ -14,10 +14,11 @@ import pytest
 
 from circembed.cli import main as cli_main
 from circembed.embedders import (
+    KINDS,
     embed,
     materialize_operator,
-    sample_circulant_operator,
     sample_gaussian_operator,
+    sample_operator,
     sample_randomized_operator,
 )
 from circembed.geometry import angular_distance, angular_perturbation_bound, hamming_normalized
@@ -30,12 +31,6 @@ from circembed.validation import (
     distortion_experiment,
     hadamard_coherence_experiment,
 )
-
-SAMPLERS = {
-    "gaussian": sample_gaussian_operator,
-    "circulant": sample_circulant_operator,
-    "randomized": sample_randomized_operator,
-}
 
 
 def _verdict(num: int, passed: bool, detail: str) -> None:
@@ -113,8 +108,8 @@ def test_03_sign_codes_match_dense_materialization():
     n, k, trials, knife = 64, 16, 100, 1e-9
     mismatches = 0
     checked = 0
-    for kind, sampler in sorted(SAMPLERS.items()):
-        op = sampler(n, k, 1003)
+    for kind in sorted(KINDS):
+        op = sample_operator(kind, n, k, 1003)
         M = materialize_operator(op)
         s = Stream(1003, f"c3:{kind}")
         for _ in range(trials):
@@ -255,8 +250,8 @@ def test_10_pipeline_is_byte_deterministic(tmp_path, monkeypatch):
                          "--operator", "codes.csv.beop", "--out", "eval.json"]) == 0
         assert cli_main(["sweep", "--pointset", "pts.pset", "--kind", "circulant",
                          "--k-list", "8,16", "--delta-list", "0.1", "--trials", "3",
-                         "--seed", "7", "--csv-out", "sweep.csv",
-                         "--json-out", "sweep.json"]) == 0
+                         "--seed", "7", "--threads", str(threads),
+                         "--csv-out", "sweep.csv", "--json-out", "sweep.json"]) == 0
         names = ("pts.pset", "codes.csv", "codes.csv.beop", "eval.json",
                  "sweep.csv", "sweep.json")
         return [(d / name).read_bytes() for name in names]

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from circembed import embedders
 from circembed.embedders import (
+    KINDS,
     deserialize_operator,
     embed,
     embed_points,
     materialize_operator,
     sample_circulant_operator,
     sample_gaussian_operator,
+    sample_operator,
     sample_randomized_operator,
     serialize_operator,
 )
@@ -21,19 +23,12 @@ from circembed.geometry import angular_distance, hamming_normalized
 from circembed.rng import Rng, Stream, derive_seed
 
 
-SAMPLERS = {
-    "gaussian": sample_gaussian_operator,
-    "circulant": sample_circulant_operator,
-    "randomized": sample_randomized_operator,
-}
-
-
 # ---------------------------------------------------------------- sampling
 
 def test_sampling_is_deterministic():
-    for kind, sampler in SAMPLERS.items():
-        a = sampler(32, 8, 123)
-        b = sampler(32, 8, 123)
+    for kind in KINDS:
+        a = sample_operator(kind, 32, 8, 123)
+        b = sample_operator(kind, 32, 8, 123)
         x = Stream(5, "det").normals(a.n_in)
         np.testing.assert_array_equal(embed(a, x), embed(b, x))
 
@@ -78,6 +73,8 @@ def test_sampler_rejects_bad_shapes():
         sample_randomized_operator(12, 17, 0)  # k > n_pad = 16
     # k may exceed n_orig up to n_pad for the padded kind
     assert sample_randomized_operator(12, 14, 0).k == 14
+    with pytest.raises(ValueError):
+        sample_operator("orthogonal", 8, 4, 0)
 
 
 # ---------------------------------------------------------------- embed
@@ -103,18 +100,18 @@ def test_embed_rejects_bad_input():
         embed(op, bad)
 
 
-@given(st.sampled_from(sorted(SAMPLERS)), st.floats(1e-3, 1e3), st.integers(0, 2**32))
+@given(st.sampled_from(sorted(KINDS)), st.floats(1e-3, 1e3), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_embed_scale_invariance(kind, c, seed):
-    op = SAMPLERS[kind](16, 8, seed)
+    op = sample_operator(kind, 16, 8, seed)
     x = Stream(seed, "scale").normals(16)
     np.testing.assert_array_equal(embed(op, x), embed(op, c * x))
 
 
 def test_embed_negation_flips_code():
     # sign(-t) = -sign(t) except at exact zeros, which almost surely never occur
-    for kind, sampler in SAMPLERS.items():
-        op = sampler(64, 16, 7)
+    for kind in KINDS:
+        op = sample_operator(kind, 64, 16, 7)
         x = Stream(2, "neg").normals(64)
         assert hamming_normalized(embed(op, x), embed(op, -x)) == 1.0
 
@@ -124,9 +121,9 @@ def test_embed_negation_flips_code():
 # dense Sylvester product (no FFT, no fast Walsh-Hadamard), so agreement of sign(Mx)
 # with embed(op, x) checks the fast paths against independent arithmetic.
 
-@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_dense_materialization_matches_embed(kind):
-    op = SAMPLERS[kind](64, 16, 101)
+    op = sample_operator(kind, 64, 16, 101)
     M = materialize_operator(op)
     assert M.shape == (16, 64)
     s = Stream(55, f"dense:{kind}")
@@ -158,9 +155,9 @@ def test_dense_materialization_non_power_of_two():
 # ---------------------------------------------------------------- batches
 
 @pytest.mark.parametrize("n", [1, 2, 24, 64, 100, 1000])
-@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_embed_points_matches_single_calls(kind, n):
-    op = SAMPLERS[kind](n, min(n, 6), 4)
+    op = sample_operator(kind, n, min(n, 6), 4)
     step = max(1, embedders._BLOCK_ENTRIES // n)
     N = 2 * step + 3  # two whole blocks of rows and a partial one
     pts = Stream(n, "rows").normals(N * n).reshape(N, n)
@@ -172,16 +169,16 @@ def test_embed_points_matches_single_calls(kind, n):
         np.testing.assert_array_equal(batch[i], embed(op, pts[i]))
 
 
-@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_embed_points_of_no_rows_is_empty(kind):
-    op = SAMPLERS[kind](24, 6, 4)
+    op = sample_operator(kind, 24, 6, 4)
     codes = embed_points(op, np.empty((0, 24)))
     assert codes.shape == (0, 6) and codes.dtype == np.int8
 
 
-@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_embed_points_rejects_a_nan_row_and_a_wrong_width(kind):
-    op = SAMPLERS[kind](24, 6, 4)
+    op = sample_operator(kind, 24, 6, 4)
     pts = Stream(1, "nan").normals(5 * 24).reshape(5, 24)
     pts[3, 7] = np.nan
     with pytest.raises(ValueError):
@@ -192,12 +189,14 @@ def test_embed_points_rejects_a_nan_row_and_a_wrong_width(kind):
 
 # ------------------------------------------------------------- round trips
 
-@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_serialize_round_trip(kind):
-    op = SAMPLERS[kind](48, 12, 909)
+    op = sample_operator(kind, 48, 12, 909)
     blob = serialize_operator(op)
     assert len(blob) == 30
     assert blob[:5] == b"BEOP1"
+    # stored sidecars name their kind by this byte, so it must never move
+    assert blob[5] == {"gaussian": 0, "circulant": 1, "randomized": 2}[kind]
     clone = deserialize_operator(blob)
     assert type(clone) is type(op)
     x = Stream(77, "rt").normals(48)
@@ -205,9 +204,10 @@ def test_serialize_round_trip(kind):
 
 
 def test_serialize_refuses_non_default_r_dist():
-    op = sample_circulant_operator(16, 4, 0, r_dist="rademacher")
-    with pytest.raises(ValueError):
-        serialize_operator(op)
+    for kind in ("circulant", "randomized"):
+        op = sample_operator(kind, 16, 4, 0, r_dist="rademacher")
+        with pytest.raises(ValueError):
+            serialize_operator(op)
 
 
 def test_deserialize_error_offsets():

@@ -27,20 +27,11 @@ import pytest
 from circembed.embedders import (
     embed_points,
     materialize_operator,
-    sample_circulant_operator,
-    sample_gaussian_operator,
-    sample_randomized_operator,
+    sample_operator,
 )
 from circembed.io import generate_pointset
 from circembed.rng import Stream
 from circembed.validation import distortion_experiment, hadamard_coherence_experiment
-
-
-def _sample(kind, n, k, seed, r_dist):
-    if kind == "gaussian":
-        return sample_gaussian_operator(n, k, seed)
-    sampler = sample_circulant_operator if kind == "circulant" else sample_randomized_operator
-    return sampler(n, k, seed, r_dist=r_dist)
 
 
 def _sha256(a: np.ndarray) -> str:
@@ -109,12 +100,12 @@ MODULATION_DIGESTS = {
 def _codes(case):
     n, seed = case[1], case[3]
     points = Stream(seed, "golden:points").normals(6 * n).reshape(6, n)
-    return embed_points(_sample(*case), points)
+    return embed_points(sample_operator(*case), points)
 
 
 def _dense(case):
     # adding 0.0 maps -0.0 to 0.0, so the rounding cannot leave two zeros
-    return np.round(materialize_operator(_sample(*case)), 9) + 0.0
+    return np.round(materialize_operator(sample_operator(*case)), 9) + 0.0
 
 
 def _case_id(case):

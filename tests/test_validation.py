@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from circembed.embedders import embed_points, sample_operator
 from circembed.geometry import PointSet
 from circembed.io import generate_pointset
 from circembed.rng import Stream, derive_seed
@@ -75,16 +76,16 @@ def test_distortion_single_point_has_no_pairs():
 
 def test_distortion_duplicate_and_antipodal_pairs_are_exact():
     v = np.eye(4)[0]
-    dup = distortion_experiment(
-        PointSet(points=np.stack([v, v])), "gaussian", 64, 1, 0, keep_pairs=True
-    )
-    # identical points: angle 0, disagreement 0
-    assert dup.per_pair == ((0, 1, 0.0, 0.0, 0.0),)
-    anti = distortion_experiment(
-        PointSet(points=np.stack([v, -v])), "gaussian", 64, 1, 0, keep_pairs=True
-    )
-    # antipodal points: angle 1, every sign flips
-    assert anti.per_pair == ((0, 1, 1.0, 1.0, 0.0),)
+    op = sample_operator("gaussian", 4, 64, 0)
+    # identical points: angle 0, disagreement 0; antipodal points: angle 1,
+    # every sign flips
+    for points, pair in (
+        (np.stack([v, v]), (0, 1, 0.0, 0.0, 0.0)),
+        (np.stack([v, -v]), (0, 1, 1.0, 1.0, 0.0)),
+    ):
+        ps = PointSet(points=points)
+        assert evaluate_codes(ps, embed_points(op, points)).per_pair == (pair,)
+        assert distortion_experiment(ps, "gaussian", 64, 1, 0).max_distortion == 0.0
 
 
 def test_distortion_trials_are_prefix_stable():
@@ -124,8 +125,10 @@ def test_evaluate_codes_reports_per_pair():
     rep = evaluate_codes(ps, codes)
     assert rep.trials == 1
     assert len(rep.per_pair) == 15
-    for i, j, ang, ham, dist in rep.per_pair:
-        assert dist == pytest.approx(abs(ham - ang))
+    for i, j, ham, ang, diff in rep.per_pair:
+        assert i < j
+        assert 0.0 <= ham <= 1.0 and 0.0 <= ang <= 1.0 and 0.0 <= diff <= 1.0
+        assert diff == pytest.approx(abs(ham - ang))
 
 
 def test_evaluate_codes_rejects_shape_mismatch():
