@@ -17,6 +17,12 @@ at once divides them and the last block is always a partial one.
 Modulation reports at n_pad <= 64 are rounded to 12 decimals: there the
 Walsh-Hadamard transform is a single BLAS product, which BLAS may sum in
 another order for a batch of rows than for one vector.
+
+Conditioning and decomposition reports are rounded to 12 decimals too.
+Their Gram matrices, eigenvalues and projections are BLAS products whose
+summation order depends on how many threads BLAS runs: at k=128 the exact
+conditioning samples differ in the last bits between one and two OpenBLAS
+threads, while their 12-decimal roundings agree.
 """
 
 import hashlib
@@ -31,7 +37,12 @@ from circembed.embedders import (
 )
 from circembed.io import generate_pointset
 from circembed.rng import Stream
-from circembed.validation import distortion_experiment, hadamard_coherence_experiment
+from circembed.validation import (
+    conditioning_experiment,
+    decomposition_experiment,
+    distortion_experiment,
+    hadamard_coherence_experiment,
+)
 
 
 def _sha256(a: np.ndarray) -> str:
@@ -96,6 +107,23 @@ MODULATION_DIGESTS = {
     (1000, None): "e146e251790dbe2ed134abfade869f784bdf14225d18d1e732dfbdfe1e486325",
 }
 
+# k -> sha256 of the 3 samples of conditioning_experiment on a Gaussian
+# unit pair at n=512, rounded; k=300 takes the power-iteration path
+CONDITIONING_DIGESTS = {
+    8: "1ce5480bec283861a7d080aab0cb4aebc1dfe5875ddff3a12cff779754b4d32c",
+    128: "23b005d4439ba4c9cabd6f352d7dbf4494404e62ff97414c7e69d775e0ae463a",
+    300: "c73e2feb494c7558dccb8377409edb91acc75db94df428aa8c8d7092010ba92a",
+}
+
+# (n, k, y is x) -> sha256 of per_trial_max_col + per_trial_P_norm +
+# (degenerate,) of a 3-trial decomposition_experiment, rounded; a pair with
+# y equal to x is degenerate in every trial
+DECOMPOSITION_DIGESTS = {
+    (64, 8, False): "01720b9e286217ea023f5372356c2ddcee081ee156908499f6020cf1c29d6f9c",
+    (256, 32, False): "b87c40847013542b48659b46da094783f569c29abaeba62f43dfd6a67fb15d53",
+    (64, 8, True): "17f011c41ad6135adb7502c1a1e3d62c14918cea495cf30746afe0e8d771e3e7",
+}
+
 
 def _codes(case):
     n, seed = case[1], case[3]
@@ -106,6 +134,16 @@ def _codes(case):
 def _dense(case):
     # adding 0.0 maps -0.0 to 0.0, so the rounding cannot leave two zeros
     return np.round(materialize_operator(sample_operator(*case)), 9) + 0.0
+
+
+def _unit_pair(n, seed):
+    v = Stream(seed, "golden:pair").normals(2 * n).reshape(2, n)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v[0], v[1]
+
+
+def _rounded(values):
+    return np.round(np.array(values, dtype=np.float64), 12) + 0.0
 
 
 def _case_id(case):
@@ -139,3 +177,19 @@ def test_hadamard_coherence_experiment_is_pinned(case):
     if decimals is not None:
         got = np.round(got, decimals) + 0.0
     assert _sha256(got) == MODULATION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("k", sorted(CONDITIONING_DIGESTS))
+def test_conditioning_experiment_is_pinned(k):
+    x, y = _unit_pair(512, 500)
+    rep = conditioning_experiment(x, y, k, 3, 510 + k)
+    assert _sha256(_rounded(rep.samples)) == CONDITIONING_DIGESTS[k]
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSITION_DIGESTS), ids=_case_id)
+def test_decomposition_experiment_is_pinned(case):
+    n, k, same = case
+    x, y = _unit_pair(n, 600 + n)
+    rep = decomposition_experiment(x, x if same else y, k, 0.15, 3, 610 + n)
+    got = rep.per_trial_max_col + rep.per_trial_P_norm + (float(rep.degenerate),)
+    assert _sha256(_rounded(got)) == DECOMPOSITION_DIGESTS[case]
