@@ -5,8 +5,9 @@ Times fwht, circulant_apply, and the three embed paths over a geometric
 range of sizes and prints per-doubling growth ratios. Near-linear kernels
 should stay close to 2.0; the 2.5 acceptance line leaves headroom for FFT
 log factors and cache effects. A second table times the batched paths at
-fixed sizes: embed_points of N=1000 points at n=1024, k=256 for each kind,
-and one trial of hadamard_coherence_experiment on the same points.
+fixed sizes: embed_points of N=1000 points at n=1024, k=256 for each kind.
+A third times one trial of each Monte Carlo experiment, single-threaded, at
+the sizes the gate suite runs it.
 
 Usage:
     python3 scripts/bench_transforms.py --min-pow 14 --max-pow 20 --calls 20
@@ -29,7 +30,12 @@ from circembed.embedders import (
 from circembed.io import generate_pointset
 from circembed.rng import Rng
 from circembed.transforms import circulant_apply, fwht
-from circembed.validation import hadamard_coherence_experiment
+from circembed.validation import (
+    conditioning_experiment,
+    decomposition_experiment,
+    distortion_experiment,
+    hadamard_coherence_experiment,
+)
 
 
 def time_callable(fn, calls: int, repeats: int) -> float:
@@ -64,8 +70,23 @@ def build_batched_cases(seed: int):
     for kind in KINDS:
         op = sample_operator(kind, 1024, 256, seed)
         cases.append((f"embed_points {kind}", lambda op=op: embed_points(op, ps.points)))
-    cases.append(("hadamard trial", lambda: hadamard_coherence_experiment(ps, 1, seed)))
     return cases
+
+
+def build_trial_cases(seed: int):
+    # the inputs of run_gate_suite; conditioning and decomposition at the
+    # largest k it uses
+    flat = generate_pointset("flat_signs", 1024, 32, seed)
+    ups = generate_pointset("uniform_sphere", 1024, 1000, seed)
+    x = np.ones(256) / 16.0
+    y = np.tile([1.0, -1.0], 128) / 16.0
+    return [
+        ("distortion gaussian", lambda: distortion_experiment(flat, "gaussian", 1024, 1, seed)),
+        ("distortion randomized", lambda: distortion_experiment(flat, "randomized", 1024, 1, seed)),
+        ("conditioning k=128", lambda: conditioning_experiment(x, y, 128, 1, seed)),
+        ("modulation", lambda: hadamard_coherence_experiment(ups, 1, seed)),
+        ("decomposition k=128", lambda: decomposition_experiment(x, y, 128, 0.15, 1, seed)),
+    ]
 
 
 def main() -> int:
@@ -98,11 +119,15 @@ def main() -> int:
         ts = table[name]
         ratios = " ".join(f"{ts[i + 1] / ts[i]:5.2f}" for i in range(len(ts) - 1))
         print(f"  {name.ljust(18)} {ratios}")
-    print()
-    print("batched paths, N=1000 points at n=1024 (k=256):")
-    for name, fn in build_batched_cases(args.seed):
-        fn()
-        print(f"  {name.ljust(24)} {time_callable(fn, args.calls, args.repeats) * 1e3:10.3f}ms")
+    for title, cases in (
+        ("batched paths, N=1000 points at n=1024 (k=256):", build_batched_cases(args.seed)),
+        ("one trial of each experiment at gate-suite sizes (threads=1):", build_trial_cases(args.seed)),
+    ):
+        print()
+        print(title)
+        for name, fn in cases:
+            fn()
+            print(f"  {name.ljust(24)} {time_callable(fn, args.calls, args.repeats) * 1e3:10.3f}ms")
     return 0
 
 

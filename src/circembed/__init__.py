@@ -10,6 +10,7 @@ coherence-reduction behavior.
 
 from .embedders import (
     KINDS,
+    R_DISTS,
     CirculantOperator,
     GaussianOperator,
     RandomizedOperator,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedders import KINDS, deserialize_operator, embed_points, sample_operator, serialize_operator
+from .embedders import KINDS, R_DISTS, deserialize_operator, embed_points, sample_operator, serialize_operator
 from .errors import ParseError
 from .geometry import coherence
 from .io import (
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pointset", required=True)
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--k", type=int, required=True, help="code length")
-    p.add_argument("--r-dist", default="gaussian", choices=["gaussian", "rademacher"],
+    p.add_argument("--r-dist", default="gaussian", choices=R_DISTS,
                    help="distribution of the modulation vector r")
     p.add_argument("--out", required=True, help="codes CSV path")
     p.add_argument("--operator-out", default=None, help="operator sidecar path (default <out>.beop)")
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", default=None, help="operator sidecar, echoed into the report")
     p.add_argument("--kind", default=None, choices=KINDS)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--r-dist", default="gaussian", choices=["gaussian", "rademacher"])
+    p.add_argument("--r-dist", default="gaussian", choices=R_DISTS)
     p.add_argument("--delta", type=float, default=0.15, help="distortion target")
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
     _add_common(p)
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", required=True, help="comma-separated code lengths")
     p.add_argument("--delta-list", required=True, help="comma-separated distortion targets")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--r-dist", default="gaussian", choices=["gaussian", "rademacher"])
+    p.add_argument("--r-dist", default="gaussian", choices=R_DISTS)
     p.add_argument("--csv-out", required=True)
     p.add_argument("--json-out", default=None)
     _add_common(p)

@@ -29,10 +29,11 @@ import numpy as np
 
 from .errors import ParseError
 from .rng import Rng
-from .transforms import _correlate, _fwht_inplace, hadamard_matrix, shift
+from .transforms import _correlate, _fwht_inplace, _shift_rows, hadamard_matrix
 
 __all__ = [
     "KINDS",
+    "R_DISTS",
     "GaussianOperator",
     "CirculantOperator",
     "RandomizedOperator",
@@ -54,6 +55,9 @@ _RECORD_LEN = 30  # 5 magic + 1 kind + 3 * 8 little-endian u64
 
 # The operator kinds; a kind's index here is its BEOP1 kind byte.
 KINDS = ("gaussian", "circulant", "randomized")
+
+# The distributions of the circulant modulation vector r.
+R_DISTS = ("gaussian", "rademacher")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +177,7 @@ def _sample_r(rng: Rng, n: int, r_dist: str) -> np.ndarray:
         return rng.stream("circulant:r").normals(n)
     if r_dist == "rademacher":
         return rng.stream("circulant:r").rademacher(n)
-    raise ValueError(f"unknown r_dist {r_dist!r}; expected 'gaussian' or 'rademacher'")
+    raise ValueError(f"unknown r_dist {r_dist!r}; expected one of {', '.join(R_DISTS)}")
 
 
 def sample_circulant_operator(n: int, k: int, seed: int, r_dist: str = "gaussian") -> CirculantOperator:
@@ -200,10 +204,16 @@ def sample_randomized_operator(n: int, k: int, seed: int, r_dist: str = "gaussia
 
 
 def sample_operator(kind: str, n: int, k: int, seed: int, r_dist: str = "gaussian") -> Operator:
-    """Sample an operator of one of ``KINDS``; gaussian has no r and ignores r_dist."""
+    """Sample an operator of one of ``KINDS``.
+
+    r_dist is one of ``R_DISTS``; gaussian operators have no r, so they
+    take only the default.
+    """
     # called by their module-level names, so that a wrapper bound to one of
     # those names (the perfbench tracer installs such wrappers) sees the call
     if kind == "gaussian":
+        if r_dist != "gaussian":
+            raise ValueError(f"gaussian operators have no r; r_dist {r_dist!r} needs a circulant or randomized kind")
         return sample_gaussian_operator(n, k, seed)
     if kind == "circulant":
         return sample_circulant_operator(n, k, seed, r_dist=r_dist)
@@ -292,15 +302,14 @@ def embed_points(op: Operator, points) -> np.ndarray:
 def materialize_operator(op: Operator) -> np.ndarray:
     """Dense k x n_in matrix whose sign pattern ``embed`` reproduces.
 
-    Built row by row from explicit shifts and the doubling Hadamard
+    Built from shift rows gathered by index and the doubling Hadamard
     construction, deliberately avoiding the FFT and Walsh-Hadamard fast paths.
     Quadratic cost; reference use only.
     """
     if isinstance(op, GaussianOperator):
         return op.G.copy()
     if isinstance(op, CirculantOperator):
-        rows = np.stack([shift(op.h, int(i)) for i in op.S])
-        return rows * op.r[None, :]
+        return _shift_rows(op.h, op.S) * op.r[None, :]
     if isinstance(op, RandomizedOperator):
         A = materialize_operator(op.inner) @ hadamard_matrix(op.n_pad)
         A = A * op.b[None, :]

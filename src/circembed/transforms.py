@@ -127,6 +127,13 @@ def _fwht_inplace(a: np.ndarray) -> None:
         src = dst
 
 
+def _shift_rows(v: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Row t is shift(v, S[t]), gathered with no FFT: entry j is v[(S[t] + j) mod n]."""
+    n = v.size
+    idx = (S[:, None] + np.arange(n)[None, :]) % n
+    return v[idx]
+
+
 def fwht(x) -> np.ndarray:
     """Unitary Walsh-Hadamard transform. Length must be a power of 2."""
     v = _as_vector(x)

@@ -1,10 +1,12 @@
 """Monte Carlo experiments on distortion, conditioning, and coherence.
 
-Every experiment draws fresh randomness per trial from seeds derived as
-(seed, "trial:<t>"), so trials are mutually independent, a run is fully
-reproducible from its seed, and extending the trial count leaves earlier
-trials unchanged. Trial loops may fan out across threads; aggregation is
-ordered by trial index, so reports never depend on scheduling.
+Every experiment runs its trials through ``_run_trials``, the only place
+that checks the trial count and derives trial seeds: trial t draws fresh
+randomness from derive_seed(seed, "trial:<t>"), so trials are mutually
+independent, a run is fully reproducible from its seed, and extending the
+trial count leaves earlier trials unchanged. Trials may fan out across
+threads; results come back in trial order, so reports never depend on
+scheduling.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from . import embedders
 from .geometry import PointSet, angular_distance
 from .rng import Rng, derive_seed
+from .transforms import _shift_rows
 
 __all__ = [
     "ConditionCheck",
@@ -44,20 +47,29 @@ _DENSE_EIG_LIMIT = 512  # above this, spectral norms switch to power iteration
 _SPAN_TOL = 1e-12
 
 
-def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
+def _run_trials(fn: Callable[[int], object], trials: int, seed: int, threads: int) -> list:
+    """[fn(trial seed) for each trial], in trial order."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    seeds = [derive_seed(seed, f"trial:{t}") for t in range(trials)]
     if threads > 1 and trials > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            return list(ex.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
+            return list(ex.map(fn, seeds))
+    return [fn(s) for s in seeds]
 
 
-def _require_unit(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"{name} must be a 1-D vector of length >= 2")
-    if abs(float(np.linalg.norm(arr)) - 1.0) > 1e-6:
-        raise ValueError(f"{name} must be unit norm within 1e-6")
-    return arr
+def _unit_pair(x, y) -> tuple:
+    """x and y as float64 unit vectors of one shared dimension >= 2."""
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    for name, v in (("x", xv), ("y", yv)):
+        if v.ndim != 1 or v.size < 2:
+            raise ValueError(f"{name} must be a 1-D vector of length >= 2")
+        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
+            raise ValueError(f"{name} must be unit norm within 1e-6")
+    if xv.size != yv.size:
+        raise ValueError("x and y must share a dimension")
+    return xv, yv
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +154,7 @@ class DistortionReport:
 
 
 def _angular_pairs(points: np.ndarray):
-    N = points.shape[0]
-    iu = np.triu_indices(N, 1)
-    if iu[0].size == 0:
-        return iu, np.empty(0)
+    iu = np.triu_indices(points.shape[0], 1)
     cos = np.clip(points @ points.T, -1.0, 1.0)
     return iu, np.arccos(cos[iu]) / math.pi
 
@@ -157,6 +166,33 @@ def _hamming_pairs(codes: np.ndarray, iu) -> np.ndarray:
     k = C.shape[1]
     G = C @ C.T
     return (k - G[iu]) / (2.0 * k)
+
+
+def _max_mean(diff: np.ndarray) -> tuple:
+    # a point set with no pairs (N = 1) has no distortion
+    if diff.size == 0:
+        return 0.0, 0.0
+    return float(diff.max()), float(diff.mean())
+
+
+def _distortion_report(ps: PointSet, kind: str, k: int, seed: int, delta_target: float, rows, per_pair=None) -> DistortionReport:
+    # rows holds one (max, mean) pair per trial
+    per_max, per_mean = zip(*rows)
+    return DistortionReport(
+        kind=kind,
+        n=ps.n,
+        N=ps.N,
+        k=int(k),
+        trials=len(rows),
+        seed=int(seed),
+        delta_target=float(delta_target),
+        max_distortion=max(per_max),
+        mean_distortion=float(np.mean(per_mean)),
+        success_fraction=sum(1 for m in per_max if m <= delta_target) / len(rows),
+        per_trial_max=per_max,
+        per_trial_mean=per_mean,
+        per_pair=per_pair,
+    )
 
 
 def distortion_experiment(
@@ -175,39 +211,15 @@ def distortion_experiment(
     and scan all N(N-1)/2 pairs. success_fraction counts trials whose worst
     pair stayed at or below delta_target.
     """
-    if kind not in embedders.KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     P = ps.points
     iu, ang = _angular_pairs(P)
 
-    def run_trial(t: int):
-        op = embedders.sample_operator(kind, ps.n, k, derive_seed(seed, f"trial:{t}"), r_dist)
-        codes = embedders.embed_points(op, P)
-        if iu[0].size == 0:
-            return 0.0, 0.0
-        diff = np.abs(_hamming_pairs(codes, iu) - ang)
-        return float(diff.max()), float(diff.mean())
+    def run_trial(trial_seed: int):
+        codes = embedders.embed_points(embedders.sample_operator(kind, ps.n, k, trial_seed, r_dist), P)
+        return _max_mean(np.abs(_hamming_pairs(codes, iu) - ang))
 
-    rows = _map_trials(run_trial, trials, threads)
-    per_max = tuple(r[0] for r in rows)
-    per_mean = tuple(r[1] for r in rows)
-    succ = sum(1 for m in per_max if m <= delta_target) / trials
-    return DistortionReport(
-        kind=kind,
-        n=ps.n,
-        N=ps.N,
-        k=int(k),
-        trials=int(trials),
-        seed=int(seed),
-        delta_target=float(delta_target),
-        max_distortion=max(per_max),
-        mean_distortion=float(np.mean(per_mean)),
-        success_fraction=succ,
-        per_trial_max=per_max,
-        per_trial_mean=per_mean,
-    )
+    rows = _run_trials(run_trial, trials, seed, threads)
+    return _distortion_report(ps, kind, k, seed, delta_target, rows)
 
 
 def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, kind: str = "codes", seed: int = 0) -> DistortionReport:
@@ -218,29 +230,10 @@ def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, 
             f"codes must be an N x k matrix with N={ps.N}, got shape {codes.shape}"
         )
     iu, ang = _angular_pairs(ps.points)
-    if iu[0].size == 0:
-        per_pair = ()
-        mx = mean = 0.0
-    else:
-        ham = _hamming_pairs(codes, iu)
-        diff = np.abs(ham - ang)
-        per_pair = tuple(zip(iu[0].tolist(), iu[1].tolist(), ham.tolist(), ang.tolist(), diff.tolist()))
-        mx, mean = float(diff.max()), float(diff.mean())
-    return DistortionReport(
-        kind=kind,
-        n=ps.n,
-        N=ps.N,
-        k=int(codes.shape[1]),
-        trials=1,
-        seed=int(seed),
-        delta_target=float(delta_target),
-        max_distortion=mx,
-        mean_distortion=mean,
-        success_fraction=1.0 if mx <= delta_target else 0.0,
-        per_trial_max=(mx,),
-        per_trial_mean=(mean,),
-        per_pair=per_pair,
-    )
+    ham = _hamming_pairs(codes, iu)
+    diff = np.abs(ham - ang)
+    per_pair = tuple(zip(iu[0].tolist(), iu[1].tolist(), ham.tolist(), ang.tolist(), diff.tolist()))
+    return _distortion_report(ps, kind, codes.shape[1], seed, delta_target, [_max_mean(diff)], per_pair)
 
 
 def sweep(
@@ -341,13 +334,6 @@ def _sym_spectral_norm(A: np.ndarray, v0: Optional[np.ndarray] = None) -> float:
     return _power_iteration(A, v0)
 
 
-def _shift_rows(v: np.ndarray, S: np.ndarray) -> np.ndarray:
-    # row t is shift(v, S[t]): entry j equals v[(S[t] + j) mod n]
-    n = v.size
-    idx = (S[:, None] + np.arange(n)[None, :]) % n
-    return v[idx]
-
-
 def conditioning_sample(x, y, r, S, theta: Optional[float] = None, v0=None) -> float:
     """sigma_max(M^T M - I_theta) for one draw of (r, S).
 
@@ -369,26 +355,21 @@ def conditioning_sample(x, y, r, S, theta: Optional[float] = None, v0=None) -> f
 
 def conditioning_experiment(x, y, k: int, trials: int, seed: int, threads: int = 1) -> ConditioningReport:
     """Sample sigma_max(M^T M - I_theta) across fresh draws of (r, S)."""
-    xv = _require_unit(x, "x")
-    yv = _require_unit(y, "y")
-    if xv.size != yv.size:
-        raise ValueError("x and y must share a dimension")
+    xv, yv = _unit_pair(x, y)
     n = xv.size
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     theta = angular_distance(xv, yv)
     rho = _pair_coherence(xv, yv)
 
-    def run_trial(t: int) -> float:
-        st = Rng(derive_seed(seed, f"trial:{t}"))
+    def run_trial(trial_seed: int) -> float:
+        st = Rng(trial_seed)
         r = st.stream("r").normals(n)
         S = st.stream("S").index_subset(n, k)
         v0 = st.stream("power").normals(2 * k) if 2 * k > _DENSE_EIG_LIMIT else None
         return conditioning_sample(xv, yv, r, S, theta, v0)
 
-    samples = tuple(_map_trials(run_trial, trials, threads))
+    samples = tuple(_run_trials(run_trial, trials, seed, threads))
     return ConditioningReport(
         n=n,
         k=int(k),
@@ -446,20 +427,16 @@ def hadamard_coherence_experiment(
     infinity norm stayed under good_const * sqrt(ln n_pad / n_pad). The
     reported fraction_good is the mean over trials; sup_inf_norm is the max.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = ps.n
     n_pad = embedders._next_pow2(n)
     bound = (math.sqrt(math.log(n_pad)) + math.sqrt(math.log(ps.N))) / math.sqrt(n_pad)
     good_threshold = good_const * math.sqrt(math.log(n_pad) / n_pad)
 
-    def run_trial(t: int):
-        b = Rng(derive_seed(seed, f"trial:{t}")).stream("b").rademacher(n_pad)
+    def run_trial(trial_seed: int):
+        b = Rng(trial_seed).stream("b").rademacher(n_pad)
         return modulation_sample(ps.points, b, good_threshold)
 
-    rows = _map_trials(run_trial, trials, threads)
-    sups = tuple(r[0] for r in rows)
-    fracs = tuple(r[1] for r in rows)
+    sups, fracs = zip(*_run_trials(run_trial, trials, seed, threads))
     return ModulationReport(
         n=n,
         n_pad=n_pad,
@@ -542,25 +519,18 @@ def decomposition_sample(x, y, r, S):
 
 def decomposition_experiment(x, y, k: int, delta: float, trials: int, seed: int, threads: int = 1) -> DecompositionReport:
     """Monte Carlo on the interleaved-shift projection norms."""
-    xv = _require_unit(x, "x")
-    yv = _require_unit(y, "y")
-    if xv.size != yv.size:
-        raise ValueError("x and y must share a dimension")
+    xv, yv = _unit_pair(x, y)
     n = xv.size
     if not 1 <= k or 2 * k > n:
         raise ValueError(f"need 1 <= k and 2k <= n, got k={k}, n={n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
-    def run_trial(t: int):
-        st = Rng(derive_seed(seed, f"trial:{t}"))
+    def run_trial(trial_seed: int):
+        st = Rng(trial_seed)
         r = st.stream("r").normals(n)
         S = st.stream("S").index_subset(n, k)
         return decomposition_sample(xv, yv, r, S)
 
-    rows = _map_trials(run_trial, trials, threads)
-    max_cols = tuple(r[0] for r in rows)
-    p_norms = tuple(r[1] for r in rows)
+    max_cols, p_norms, degenerate = zip(*_run_trials(run_trial, trials, seed, threads))
     return DecompositionReport(
         n=n,
         k=int(k),
@@ -568,7 +538,7 @@ def decomposition_experiment(x, y, k: int, delta: float, trials: int, seed: int,
         seed=int(seed),
         delta=float(delta),
         rho_direct=max(float(np.abs(xv).max()), float(np.abs(yv).max())),
-        degenerate=any(r[2] for r in rows),
+        degenerate=any(degenerate),
         max_projection_norm=max(max_cols),
         P_spectral_norm=max(p_norms),
         per_trial_max_col=max_cols,
@@ -600,13 +570,6 @@ def _gate(name: str, measured: float, op: str, threshold: float, detail: str = "
     return GateResult(name=name, measured=float(measured), threshold=float(threshold), op=op, passed=ok, detail=detail)
 
 
-def _flat_orthogonal_pair(n: int):
-    # sign-flat unit vectors, orthogonal by alternating the second one
-    x = np.ones(n) / math.sqrt(n)
-    y = np.tile([1.0, -1.0], n // 2) / math.sqrt(n)
-    return x, y
-
-
 def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list:
     """Run the frozen Monte Carlo regression gates; returns GateResult rows.
 
@@ -636,7 +599,10 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
             )
         )
 
-    x, y = _flat_orthogonal_pair(256)
+    # sign-flat unit vectors (entries +-1/16 at n=256), orthogonal by
+    # alternating the second one
+    x = np.ones(256) / 16.0
+    y = np.tile([1.0, -1.0], 128) / 16.0
     medians = []
     for k in (8, 32, 128):
         rep = conditioning_experiment(
@@ -669,9 +635,8 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
         )
     )
 
-    x8, y8 = _flat_orthogonal_pair(256)
     dec = decomposition_experiment(
-        x8, y8, 8, 0.15, dec_trials, derive_seed(seed, "gate:decomposition"), threads=threads
+        x, y, 8, 0.15, dec_trials, derive_seed(seed, "gate:decomposition"), threads=threads
     )
     frac_p = float(np.mean([p <= 7.0 for p in dec.per_trial_P_norm]))
     results.append(
@@ -680,7 +645,7 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
     med_cols = []
     for k in (8, 32, 128):
         repk = decomposition_experiment(
-            x8, y8, k, 0.15, dec_trials, derive_seed(seed, f"gate:decomposition:k={k}"), threads=threads
+            x, y, k, 0.15, dec_trials, derive_seed(seed, f"gate:decomposition:k={k}"), threads=threads
         )
         med_cols.append(float(np.median(repk.per_trial_max_col)))
     col_ratios = [med_cols[i + 1] / med_cols[i] for i in range(len(med_cols) - 1)]

@@ -122,6 +122,28 @@ def test_embed_scaled_duplicate_rows_collapse(tmp_path):
     np.testing.assert_array_equal(codes[0], codes[1])
 
 
+@pytest.mark.parametrize(
+    "subcommand, kind, r_dist",
+    [
+        ("embed", "gaussian", "rademacher"),
+        ("eval", "gaussian", "rademacher"),
+        ("sweep", "gaussian", "rademacher"),
+        ("embed", "circulant", "uniform"),
+    ],
+)
+def test_r_dist_misuse_is_usage_error_and_writes_nothing(tmp_path, subcommand, kind, r_dist):
+    pts = gen_pointset(tmp_path)
+    out = tmp_path / "out"
+    extra = {
+        "embed": ("--k", 8, "--out", out),
+        "eval": ("--k", 8, "--out", out),
+        "sweep": ("--k-list", 8, "--delta-list", 0.1, "--trials", 2, "--csv-out", out,
+                  "--json-out", tmp_path / "out.json"),
+    }[subcommand]
+    assert run(subcommand, "--pointset", pts, "--kind", kind, "--r-dist", r_dist, *extra) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["pts.pset"]
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_roundtrip_with_codes(tmp_path):

@@ -210,6 +210,14 @@ def test_serialize_refuses_non_default_r_dist():
             serialize_operator(op)
 
 
+def test_sample_operator_checks_r_dist():
+    # a gaussian operator has no r, so it cannot carry a non-default r_dist
+    with pytest.raises(ValueError, match="gaussian operators have no r"):
+        sample_operator("gaussian", 16, 4, 0, r_dist="rademacher")
+    with pytest.raises(ValueError, match="expected one of gaussian, rademacher"):
+        sample_operator("circulant", 16, 4, 0, r_dist="uniform")
+
+
 def test_deserialize_error_offsets():
     blob = serialize_operator(sample_gaussian_operator(8, 2, 5))
     with pytest.raises(ParseError) as ei:

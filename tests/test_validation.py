@@ -96,13 +96,6 @@ def test_distortion_trials_are_prefix_stable():
     assert long.per_trial_mean[:2] == short.per_trial_mean
 
 
-def test_distortion_threads_do_not_change_results():
-    ps = generate_pointset("uniform_sphere", 32, 8, 1)
-    a = distortion_experiment(ps, "randomized", 32, 4, 9, threads=1)
-    b = distortion_experiment(ps, "randomized", 32, 4, 9, threads=4)
-    assert a == b
-
-
 def test_distortion_report_consistency():
     ps = generate_pointset("uniform_sphere", 32, 8, 2)
     rep = distortion_experiment(ps, "gaussian", 64, 3, 7, delta_target=0.2)
@@ -196,13 +189,6 @@ def test_conditioning_improves_when_coherence_halves():
     assert medians[1] <= medians[0]
 
 
-def test_conditioning_threads_deterministic():
-    x, y = flat_pair(64)
-    a = conditioning_experiment(x, y, 8, 10, 5, threads=1)
-    b = conditioning_experiment(x, y, 8, 10, 5, threads=4)
-    assert a == b
-
-
 def test_power_iteration_matches_dense_eigensolver():
     s = Stream(8, "power")
     B = s.normals(40 * 40).reshape(40, 40)
@@ -256,13 +242,6 @@ def test_hadamard_coherence_report_consistency():
     assert rep.good_threshold == pytest.approx(2.0 * math.sqrt(math.log(16) / 16))
 
 
-def test_hadamard_coherence_threads_deterministic():
-    ps = generate_pointset("uniform_sphere", 16, 10, 7)
-    a = hadamard_coherence_experiment(ps, 8, 3, threads=1)
-    b = hadamard_coherence_experiment(ps, 8, 3, threads=4)
-    assert a == b
-
-
 # ---------------------------------------------------------- decomposition
 
 def test_decomposition_sample_first_pair_projects_to_nothing():
@@ -305,6 +284,50 @@ def test_decomposition_experiment_rejects_oversized_k():
     x, y = flat_pair(16)
     with pytest.raises(ValueError):
         decomposition_experiment(x, y, 9, 0.15, 1, 0)  # 2k > n
+
+
+# ------------------------------------------------------- trial harness
+
+# each experiment on small fixed inputs, run as run(trials, threads)
+EXPERIMENTS = {
+    "distortion_experiment": lambda trials, threads: distortion_experiment(
+        generate_pointset("uniform_sphere", 32, 8, 1), "randomized", 32, trials, 9, threads=threads
+    ),
+    "conditioning_experiment": lambda trials, threads: conditioning_experiment(
+        *flat_pair(64), 8, trials, 5, threads=threads
+    ),
+    "hadamard_coherence_experiment": lambda trials, threads: hadamard_coherence_experiment(
+        generate_pointset("uniform_sphere", 16, 10, 7), trials, 3, threads=threads
+    ),
+    "decomposition_experiment": lambda trials, threads: decomposition_experiment(
+        *flat_pair(64), 8, 0.15, trials, 4, threads=threads
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_threads_do_not_change_results(name):
+    run = EXPERIMENTS[name]
+    assert run(8, 1) == run(8, 4)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_rejects_zero_trials(name):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        EXPERIMENTS[name](0, 1)
+
+
+@pytest.mark.parametrize(
+    "experiment, args",
+    [(conditioning_experiment, (8,)), (decomposition_experiment, (8, 0.15))],
+    ids=["conditioning_experiment", "decomposition_experiment"],
+)
+def test_pair_experiments_reject_bad_pairs(experiment, args):
+    x, y = flat_pair(64)
+    with pytest.raises(ValueError, match="x must be unit norm"):
+        experiment(2.0 * x, y, *args, 1, 0)
+    with pytest.raises(ValueError, match="share a dimension"):
+        experiment(x, flat_pair(32)[1], *args, 1, 0)
 
 
 # ---------------------------------------------------------------- gates
