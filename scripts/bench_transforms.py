@@ -7,7 +7,9 @@ should stay close to 2.0; the 2.5 acceptance line leaves headroom for FFT
 log factors and cache effects. A second table times the batched paths at
 fixed sizes: embed_points of N=1000 points at n=1024, k=256 for each kind.
 A third times one trial of each Monte Carlo experiment, single-threaded, at
-the sizes the gate suite runs it.
+the sizes the gate suite runs it. A fourth times the pairwise layer once per
+repeat: coherence of N=1000 points at n=1000 (what gen prints), and
+evaluate_codes of N=1000 randomized codes with k=256 (what eval scores).
 
 Usage:
     python3 scripts/bench_transforms.py --min-pow 14 --max-pow 20 --calls 20
@@ -27,6 +29,7 @@ from circembed.embedders import (
     sample_operator,
     sample_randomized_operator,
 )
+from circembed.geometry import coherence
 from circembed.io import generate_pointset
 from circembed.rng import Rng
 from circembed.transforms import circulant_apply, fwht
@@ -34,6 +37,7 @@ from circembed.validation import (
     conditioning_experiment,
     decomposition_experiment,
     distortion_experiment,
+    evaluate_codes,
     hadamard_coherence_experiment,
 )
 
@@ -89,6 +93,15 @@ def build_trial_cases(seed: int):
     ]
 
 
+def build_pairwise_cases(seed: int):
+    ps = generate_pointset("uniform_sphere", 1000, 1000, seed)
+    codes = embed_points(sample_operator("randomized", 1000, 256, seed), ps.points)
+    return [
+        ("coherence N=n=1000", lambda: coherence(ps)),
+        ("evaluate_codes k=256", lambda: evaluate_codes(ps, codes)),
+    ]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--min-pow", type=int, default=14)
@@ -119,15 +132,17 @@ def main() -> int:
         ts = table[name]
         ratios = " ".join(f"{ts[i + 1] / ts[i]:5.2f}" for i in range(len(ts) - 1))
         print(f"  {name.ljust(18)} {ratios}")
-    for title, cases in (
-        ("batched paths, N=1000 points at n=1024 (k=256):", build_batched_cases(args.seed)),
-        ("one trial of each experiment at gate-suite sizes (threads=1):", build_trial_cases(args.seed)),
+    for title, cases, calls in (
+        ("batched paths, N=1000 points at n=1024 (k=256):", build_batched_cases(args.seed), args.calls),
+        ("one trial of each experiment at gate-suite sizes (threads=1):", build_trial_cases(args.seed),
+         args.calls),
+        ("pairwise layer, N=1000 points (one call per repeat):", build_pairwise_cases(args.seed), 1),
     ):
         print()
         print(title)
         for name, fn in cases:
             fn()
-            print(f"  {name.ljust(24)} {time_callable(fn, args.calls, args.repeats) * 1e3:10.3f}ms")
+            print(f"  {name.ljust(24)} {time_callable(fn, calls, args.repeats) * 1e3:10.3f}ms")
     return 0
 
 

@@ -22,7 +22,12 @@ Conditioning and decomposition reports are rounded to 12 decimals too.
 Their Gram matrices, eigenvalues and projections are BLAS products whose
 summation order depends on how many threads BLAS runs: at k=128 the exact
 conditioning samples differ in the last bits between one and two OpenBLAS
-threads, while their 12-decimal roundings agree.
+threads, while their 12-decimal roundings agree. The coherence figures
+those reports carry (``rho``, ``bound_value`` and ``rho_direct``) are
+elementwise maxima and one dot product per pair, so their exact ``repr``
+is pinned. ``coherence`` of a point set is rounded to 12 decimals, since
+its difference norms and angles may be summed in another order without
+changing what they mean.
 """
 
 import hashlib
@@ -35,6 +40,7 @@ from circembed.embedders import (
     materialize_operator,
     sample_operator,
 )
+from circembed.geometry import coherence
 from circembed.io import generate_pointset
 from circembed.rng import Stream
 from circembed.validation import (
@@ -124,6 +130,34 @@ DECOMPOSITION_DIGESTS = {
     (64, 8, True): "17f011c41ad6135adb7502c1a1e3d62c14918cea495cf30746afe0e8d771e3e7",
 }
 
+# k -> sha256 of repr((rho, bound_value)) of the conditioning reports above
+CONDITIONING_RHO_DIGESTS = {
+    8: "e247cb1535b28eb4ce3a6a5b6278840d1104898ab25ed974bf96b77be8d803f6",
+    128: "17e98edb2e5a51cd9a063b5460212b5d4a98fe24384cf98f053fbae0912b6cf4",
+    300: "82f9834c07b5869eb8bf3b9a17493a835791a6480adb97a4496841236d7fe341",
+}
+
+# (n, k, y is x) -> sha256 of repr((rho_direct,)) of the decomposition
+# reports above
+DECOMPOSITION_RHO_DIGESTS = {
+    (64, 8, False): "11786a9769f1c94871057d37e430d1d6864e4a11a916ad6278c8ed5f70020f7f",
+    (256, 32, False): "8801f65b7ace79845231bcf2d3bf3594fe4e2df919df1da1a7903908b8646630",
+    (64, 8, True): "95463ae0d0bc6baedc1da37c452ca2b6c14691f589c5bbb5bef5c2d7f8683b8b",
+}
+
+# (generator kind, n, N) -> sha256 of (rho_direct, rho_cross, theta_min) of
+# coherence on generate_pointset(kind, n, N, 700 + n), rounded
+COHERENCE_DIGESTS = {
+    ("uniform_sphere", 64, 131): "4bfca8354e6088bf06d9d332552d50f46c2b410012dafceba0652f81982e076e",
+    ("flat_signs", 256, 131): "0dfcb4d96fef39fe4cd856673279ad5cac5a256b388f36b7e55e4cd1b772c4de",
+    ("spiky", 100, 131): "09cdc2b57a2b9fefa59dd9b52e1edc1111a6d084f434a9e54e18763ace7dca2b",
+    ("clustered_pairs", 50, 130): "05fe2c04850b18517c4e46c5ce0d076a8d730a71b3ce2bba0ebeac05bc7e6d94",
+}
+
+
+def _repr_sha256(values) -> str:
+    return hashlib.sha256(repr(tuple(values)).encode()).hexdigest()
+
 
 def _codes(case):
     n, seed = case[1], case[3]
@@ -193,3 +227,25 @@ def test_decomposition_experiment_is_pinned(case):
     rep = decomposition_experiment(x, x if same else y, k, 0.15, 3, 610 + n)
     got = rep.per_trial_max_col + rep.per_trial_P_norm + (float(rep.degenerate),)
     assert _sha256(_rounded(got)) == DECOMPOSITION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("k", sorted(CONDITIONING_RHO_DIGESTS))
+def test_conditioning_coherence_is_pinned(k):
+    x, y = _unit_pair(512, 500)
+    rep = conditioning_experiment(x, y, k, 3, 510 + k)
+    assert _repr_sha256((rep.rho, rep.bound_value)) == CONDITIONING_RHO_DIGESTS[k]
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSITION_RHO_DIGESTS), ids=_case_id)
+def test_decomposition_coherence_is_pinned(case):
+    n, k, same = case
+    x, y = _unit_pair(n, 600 + n)
+    rep = decomposition_experiment(x, x if same else y, k, 0.15, 3, 610 + n)
+    assert _repr_sha256((rep.rho_direct,)) == DECOMPOSITION_RHO_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(COHERENCE_DIGESTS), ids=_case_id)
+def test_coherence_is_pinned(case):
+    kind, n, N = case
+    stats = coherence(generate_pointset(kind, n, N, 700 + n))
+    assert _sha256(_rounded((stats.rho_direct, stats.rho_cross, stats.theta_min))) == COHERENCE_DIGESTS[case]
