@@ -92,6 +92,41 @@ def hamming_normalized(a, b) -> float:
     return float(np.count_nonzero(av != bv)) / av.size
 
 
+def _angles(cos: np.ndarray) -> np.ndarray:
+    """Angular distances, normalized by pi, from cosines."""
+    return np.arccos(np.clip(cos, -1.0, 1.0)) / math.pi
+
+
+def _angular_pairs(points: np.ndarray):
+    """Upper-triangle indices of the rows and the angle of each pair."""
+    iu = np.triu_indices(points.shape[0], 1)
+    return iu, _angles((points @ points.T)[iu])
+
+
+def _hamming_pairs(codes: np.ndarray, iu) -> np.ndarray:
+    """Normalized Hamming distance of the code rows at the pairs ``iu``."""
+    # (k - <a, b>) / 2k equals the disagreement fraction for sign codes;
+    # the Gram matrix is integer-valued so this is exact
+    C = codes.astype(np.float64)
+    k = C.shape[1]
+    return (k - (C @ C.T)[iu]) / (2.0 * k)
+
+
+def _coherence(P: np.ndarray) -> CoherenceStats:
+    """Coherence statistics of the rows of P, in O(N n) memory."""
+    rho_direct = float(np.abs(P).max())
+    rho_cross, theta_min = rho_direct, 1.0
+    for i in range(P.shape[0] - 1):
+        D = P[i + 1 :] - P[i]
+        # one dot product per row, as a 1-D np.linalg.norm computes it
+        l2 = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+        inf = np.abs(D, out=D).max(axis=1)
+        keep = l2 >= _DUP_TOL
+        rho_cross = max(rho_cross, float(np.max(inf[keep] / l2[keep], initial=0.0)))
+        theta_min = min(theta_min, float(_angles(P[i + 1 :] @ P[i]).min()))
+    return CoherenceStats(rho_direct=rho_direct, rho_cross=rho_cross, theta_min=theta_min)
+
+
 def coherence(ps: PointSet) -> CoherenceStats:
     """Exact O(N^2 n) scan for the coherence statistics of a point set.
 
@@ -101,21 +136,7 @@ def coherence(ps: PointSet) -> CoherenceStats:
     because the ratio degenerates to 0/0. theta_min is the smallest pairwise
     angular distance, with 1.0 as the single-point sentinel.
     """
-    P = ps.points
-    N = ps.N
-    rho_direct = float(np.abs(P).max())
-    rho_cross = rho_direct
-    theta_min = 1.0
-    for i in range(N - 1):
-        D = P[i + 1 :] - P[i]
-        l2 = np.linalg.norm(D, axis=1)
-        keep = l2 >= _DUP_TOL
-        if keep.any():
-            ratios = np.abs(D[keep]).max(axis=1) / l2[keep]
-            rho_cross = max(rho_cross, float(ratios.max()))
-        cos = np.clip(P[i + 1 :] @ P[i], -1.0, 1.0)
-        theta_min = min(theta_min, float(np.arccos(cos).min()) / math.pi)
-    return CoherenceStats(rho_direct=rho_direct, rho_cross=rho_cross, theta_min=theta_min)
+    return _coherence(ps.points)
 
 
 def angular_perturbation_bound(x, x_alt, y, y_alt):

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import embedders
-from .geometry import PointSet, angular_distance
+from .geometry import _PRE_ATOL, PointSet, _angular_pairs, _coherence, _hamming_pairs, angular_distance
 from .rng import Rng, derive_seed
 from .transforms import _shift_rows
 
@@ -65,8 +65,8 @@ def _unit_pair(x, y) -> tuple:
     for name, v in (("x", xv), ("y", yv)):
         if v.ndim != 1 or v.size < 2:
             raise ValueError(f"{name} must be a 1-D vector of length >= 2")
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
-            raise ValueError(f"{name} must be unit norm within 1e-6")
+        if abs(float(np.linalg.norm(v)) - 1.0) > _PRE_ATOL:
+            raise ValueError(f"{name} must be unit norm within {_PRE_ATOL:g}")
     if xv.size != yv.size:
         raise ValueError("x and y must share a dimension")
     return xv, yv
@@ -151,21 +151,6 @@ class DistortionReport:
             "mean_distortion": self.mean_distortion,
             "success_fraction": self.success_fraction,
         }
-
-
-def _angular_pairs(points: np.ndarray):
-    iu = np.triu_indices(points.shape[0], 1)
-    cos = np.clip(points @ points.T, -1.0, 1.0)
-    return iu, np.arccos(cos[iu]) / math.pi
-
-
-def _hamming_pairs(codes: np.ndarray, iu) -> np.ndarray:
-    # (k - <a, b>) / 2k equals the disagreement fraction for sign codes;
-    # the Gram matrix is integer-valued so this is exact
-    C = codes.astype(np.float64)
-    k = C.shape[1]
-    G = C @ C.T
-    return (k - G[iu]) / (2.0 * k)
 
 
 def _max_mean(diff: np.ndarray) -> tuple:
@@ -288,15 +273,6 @@ class ConditioningReport:
     samples: tuple
 
 
-def _pair_coherence(x: np.ndarray, y: np.ndarray) -> float:
-    rho = max(float(np.abs(x).max()), float(np.abs(y).max()))
-    d = x - y
-    l2 = float(np.linalg.norm(d))
-    if l2 >= 1e-12:
-        rho = max(rho, float(np.abs(d).max()) / l2)
-    return rho
-
-
 def _i_theta(k: int, theta: float) -> np.ndarray:
     c = math.cos(theta * math.pi)
     out = np.eye(2 * k)
@@ -360,7 +336,7 @@ def conditioning_experiment(x, y, k: int, trials: int, seed: int, threads: int =
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     theta = angular_distance(xv, yv)
-    rho = _pair_coherence(xv, yv)
+    rho = _coherence(np.stack([xv, yv])).rho_cross
 
     def run_trial(trial_seed: int) -> float:
         st = Rng(trial_seed)
@@ -537,7 +513,7 @@ def decomposition_experiment(x, y, k: int, delta: float, trials: int, seed: int,
         trials=int(trials),
         seed=int(seed),
         delta=float(delta),
-        rho_direct=max(float(np.abs(xv).max()), float(np.abs(yv).max())),
+        rho_direct=_coherence(np.stack([xv, yv])).rho_direct,
         degenerate=any(degenerate),
         max_projection_norm=max(max_cols),
         P_spectral_norm=max(p_norms),

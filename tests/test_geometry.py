@@ -173,6 +173,38 @@ def test_coherence_antipodal_pair():
     assert stats.rho_cross == pytest.approx(0.8)
 
 
+def _coherence_reference(P):
+    # one pair at a time, with the 1-D norm of each difference
+    rho_direct = float(np.abs(P).max())
+    rho_cross, theta_min = rho_direct, 1.0
+    for i in range(len(P)):
+        for j in range(i + 1, len(P)):
+            d = P[j] - P[i]
+            l2 = float(np.linalg.norm(d))
+            if l2 >= 1e-12:
+                rho_cross = max(rho_cross, float(np.abs(d).max()) / l2)
+            theta_min = min(theta_min, angular_distance(P[i], P[j]))
+    return rho_direct, rho_cross, theta_min
+
+
+@pytest.mark.parametrize("extra", ["none", "duplicate", "antipodal", "both"])
+@pytest.mark.parametrize("seed", range(6))
+def test_coherence_matches_per_pair_reference(seed, extra):
+    s = Stream(seed, "cohref")
+    P = np.stack([random_unit(s, 3 + 60 * seed) for _ in range(16)])
+    if extra in ("duplicate", "both"):
+        P = np.concatenate([P, P[2:3]])
+    if extra in ("antipodal", "both"):
+        P = np.concatenate([P, -P[4:5]])
+    stats = coherence(PointSet(points=P))
+    rho_direct, rho_cross, theta_min = _coherence_reference(P)
+    assert stats.rho_direct == rho_direct
+    assert stats.rho_cross == rho_cross
+    # a duplicate's angle is arccos near 1, where the last bit of the cosine
+    # moves the angle by about 1e-8
+    assert stats.theta_min == pytest.approx(theta_min, abs=1e-7 if extra in ("duplicate", "both") else 1e-14)
+
+
 @given(st.integers(2, 24), st.integers(1, 6), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_coherence_bounds(n, N, seed):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circembed.embedders import embed_points, sample_operator
-from circembed.geometry import PointSet
+from circembed.geometry import PointSet, coherence
 from circembed.io import generate_pointset
 from circembed.rng import Stream, derive_seed
 from circembed.transforms import fwht, hadamard_matrix
@@ -28,6 +28,11 @@ def flat_pair(n):
     x = np.ones(n) / math.sqrt(n)
     y = np.tile([1.0, -1.0], n // 2) / math.sqrt(n)
     return x, y
+
+
+def random_unit_pair(seed, n):
+    v = Stream(seed, "pair").normals(2 * n).reshape(2, n)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 # ------------------------------------------------------------- condition 1
@@ -178,6 +183,14 @@ def test_conditioning_percentile_regression():
     x, y = flat_pair(256)
     rep = conditioning_experiment(x, y, 16, 200, 0, threads=4)
     assert float(np.percentile(rep.samples, 95)) <= 1.2
+
+
+def test_conditioning_rho_is_coherence_of_the_pair():
+    # the report and coherence share one computation, so they agree bit for bit
+    for t in range(200):
+        x, y = random_unit_pair(t, 2 + t % 61)
+        rep = conditioning_experiment(x, y, 1, 1, t)
+        assert rep.rho == coherence(PointSet(points=np.stack([x, y]))).rho_cross
 
 
 def test_conditioning_improves_when_coherence_halves():
