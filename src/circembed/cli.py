@@ -66,10 +66,12 @@ def cmd_gen(args) -> int:
 def cmd_embed(args) -> int:
     ps = load_pointset(args.pointset)
     op = sample_operator(args.kind, ps.n, args.k, args.seed, args.r_dist)
+    # an operator the sidecar cannot describe fails here, before any file is written
+    record = serialize_operator(op)
     codes = embed_points(op, ps.points)
     save_codes(codes, args.out)
     sidecar = args.operator_out or (str(args.out) + ".beop")
-    Path(sidecar).write_bytes(serialize_operator(op))
+    Path(sidecar).write_bytes(record)
     print(f"wrote {args.out} ({codes.shape[0]} codes of length {codes.shape[1]}) and {sidecar}")
     return 0
 

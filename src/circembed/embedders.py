@@ -59,6 +59,11 @@ KINDS = ("gaussian", "circulant", "randomized")
 # The distributions of the circulant modulation vector r.
 R_DISTS = ("gaussian", "rademacher")
 
+# The most float64 entries (512 MiB) one operator may hold: k * n for a
+# gaussian matrix, n for circulant vectors and the padded n for randomized
+# ones. A 30-byte record or a few flags must not ask for unbounded memory.
+_MAX_ENTRIES = 1 << 26
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianOperator:
@@ -207,8 +212,14 @@ def sample_operator(kind: str, n: int, k: int, seed: int, r_dist: str = "gaussia
     """Sample an operator of one of ``KINDS``.
 
     r_dist is one of ``R_DISTS``; gaussian operators have no r, so they
-    take only the default.
+    take only the default. An operator of more than ``_MAX_ENTRIES`` float64
+    entries is refused before anything is drawn.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}; expected one of {', '.join(KINDS)}")
+    entries = {"gaussian": k * n, "circulant": n, "randomized": _next_pow2(n)}[kind]
+    if entries > _MAX_ENTRIES:
+        raise ValueError(f"a {kind} operator with n={n}, k={k} has {entries} entries, over the cap of {_MAX_ENTRIES}")
     # called by their module-level names, so that a wrapper bound to one of
     # those names (the perfbench tracer installs such wrappers) sees the call
     if kind == "gaussian":
@@ -217,9 +228,7 @@ def sample_operator(kind: str, n: int, k: int, seed: int, r_dist: str = "gaussia
         return sample_gaussian_operator(n, k, seed)
     if kind == "circulant":
         return sample_circulant_operator(n, k, seed, r_dist=r_dist)
-    if kind == "randomized":
-        return sample_randomized_operator(n, k, seed, r_dist=r_dist)
-    raise ValueError(f"unknown operator kind {kind!r}; expected one of {', '.join(KINDS)}")
+    return sample_randomized_operator(n, k, seed, r_dist=r_dist)
 
 
 # Rows are projected in blocks of about this many input entries, so the

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from circembed import embedders
 from circembed.cli import main
 from circembed.io import load_codes, load_pointset, load_result
 
@@ -129,6 +130,9 @@ def test_embed_scaled_duplicate_rows_collapse(tmp_path):
         ("eval", "gaussian", "rademacher"),
         ("sweep", "gaussian", "rademacher"),
         ("embed", "circulant", "uniform"),
+        # the sidecar format has no r_dist field
+        ("embed", "circulant", "rademacher"),
+        ("embed", "randomized", "rademacher"),
     ],
 )
 def test_r_dist_misuse_is_usage_error_and_writes_nothing(tmp_path, subcommand, kind, r_dist):
@@ -142,6 +146,26 @@ def test_r_dist_misuse_is_usage_error_and_writes_nothing(tmp_path, subcommand, k
     }[subcommand]
     assert run(subcommand, "--pointset", pts, "--kind", kind, "--r-dist", r_dist, *extra) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["pts.pset"]
+
+
+def test_operator_over_the_cap_is_usage_error_and_writes_nothing(tmp_path, monkeypatch):
+    pts = gen_pointset(tmp_path, n=32)
+    # every kind at n=32 holds at least 32 entries
+    monkeypatch.setattr(embedders, "_MAX_ENTRIES", 31)
+    for kind in ("gaussian", "circulant", "randomized"):
+        assert run("embed", "--pointset", pts, "--kind", kind, "--k", 8,
+                   "--out", tmp_path / "c.csv") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["pts.pset"]
+
+
+def test_eval_operator_record_over_the_cap_is_io_error(tmp_path, monkeypatch):
+    pts = gen_pointset(tmp_path, n=32)
+    codes = tmp_path / "c.csv"
+    assert run("embed", "--pointset", pts, "--kind", "gaussian", "--k", 8, "--out", codes) == 0
+    monkeypatch.setattr(embedders, "_MAX_ENTRIES", 32 * 8 - 1)
+    assert run("eval", "--pointset", pts, "--codes", codes, "--operator", f"{codes}.beop",
+               "--out", tmp_path / "r.json") == 3
+    assert not (tmp_path / "r.json").exists()
 
 
 # ---------------------------------------------------------------- eval

@@ -218,6 +218,27 @@ def test_sample_operator_checks_r_dist():
         sample_operator("circulant", 16, 4, 0, r_dist="uniform")
 
 
+def test_sample_operator_caps_entries(monkeypatch):
+    monkeypatch.setattr(embedders, "_MAX_ENTRIES", 64)
+    # k * n for gaussian, n for circulant, the padded n for randomized
+    for kind, legal, over in (
+        ("gaussian", (16, 4), (16, 5)),
+        ("circulant", (64, 4), (65, 4)),
+        ("randomized", (33, 4), (65, 4)),
+    ):
+        sample_operator(kind, *legal, 0)
+        with pytest.raises(ValueError, match="over the cap of 64"):
+            sample_operator(kind, *over, 0)
+
+
+def test_deserialize_over_the_cap_is_parse_error(monkeypatch):
+    blob = serialize_operator(sample_operator("gaussian", 16, 5, 0))
+    monkeypatch.setattr(embedders, "_MAX_ENTRIES", 64)
+    with pytest.raises(ParseError, match="over the cap") as ei:
+        deserialize_operator(blob)
+    assert ei.value.offset == 6
+
+
 def test_deserialize_error_offsets():
     blob = serialize_operator(sample_gaussian_operator(8, 2, 5))
     with pytest.raises(ParseError) as ei:
