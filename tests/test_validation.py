@@ -30,11 +30,6 @@ def flat_pair(n):
     return x, y
 
 
-def random_unit_pair(seed, n):
-    v = Stream(seed, "pair").normals(2 * n).reshape(2, n)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 # ------------------------------------------------------------- condition 1
 
 def test_check_condition1_hand_case():
@@ -188,7 +183,8 @@ def test_conditioning_percentile_regression():
 def test_conditioning_rho_is_coherence_of_the_pair():
     # the report and coherence share one computation, so they agree bit for bit
     for t in range(200):
-        x, y = random_unit_pair(t, 2 + t % 61)
+        v = Stream(t, "pair").normals(2 * (2 + t % 61)).reshape(2, -1)
+        x, y = v / np.linalg.norm(v, axis=1, keepdims=True)
         rep = conditioning_experiment(x, y, 1, 1, t)
         assert rep.rho == coherence(PointSet(points=np.stack([x, y]))).rho_cross
 
