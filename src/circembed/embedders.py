@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ParseError
 from .rng import Rng
-from .transforms import _correlate, _fwht_inplace, _shift_rows, hadamard_matrix
+from .transforms import _correlate, _CorrelationPlan, _fwht_inplace, _shift_rows, hadamard_matrix
 
 __all__ = [
     "KINDS",
@@ -117,10 +117,10 @@ class CirculantOperator:
         return self.h.size
 
     @cached_property
-    def _fh(self) -> np.ndarray:
+    def _plan(self) -> _CorrelationPlan:
         # cached spectrum of the generator: one forward and one inverse
         # transform per embedding instead of two forward plus one inverse
-        return np.fft.rfft(self.h)
+        return _CorrelationPlan(self.h, self.S)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,12 +264,12 @@ def _project(op: Operator, P: np.ndarray) -> np.ndarray:
     if isinstance(op, GaussianOperator):
         return P @ op.G.T
     if isinstance(op, CirculantOperator):
-        return _correlate(op._fh, P * op.r).take(op.S, axis=1)
+        return _correlate(op._plan, P * op.r)
     if isinstance(op, RandomizedOperator):
         # the unitary 1/sqrt(n) scale of the transform lives in _r_scaled
         w = _hadamard_mix(P, op.b)
         w *= op._r_scaled
-        return _correlate(op.inner._fh, w).take(op.inner.S, axis=1)
+        return _correlate(op.inner._plan, w)
     raise TypeError(f"not an operator: {type(op).__name__}")
 
 

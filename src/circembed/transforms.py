@@ -156,13 +156,75 @@ def circulant_apply(h, x) -> np.ndarray:
     xv = _as_vector(x)
     if hv.size != xv.size:
         raise ValueError(f"length mismatch: h has {hv.size}, x has {xv.size}")
-    return _correlate(np.fft.rfft(hv), xv)
+    return _correlate(_CorrelationPlan(hv), xv)
 
 
-def _correlate(fh: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # cross-correlation diagonalizes as fh * conj(fx); fh may be precomputed
+# From _SPLIT_MIN on, one FFT over a whole row runs out of cache. A sampled
+# correlation then runs as short FFTs over a (_SPLIT_ROWS, n / _SPLIT_ROWS)
+# view of each row, and its last stage forms only the k entries kept.
+_SPLIT_MIN = 1 << 16
+_SPLIT_ROWS = 256
+
+
+class _CorrelationPlan:
+    """The spectrum of a real generator h, kept for correlations with it.
+
+    ``_correlate(plan, x)`` returns, for every vector along the last axis of
+    x, the entries out[t] = sum_j h[(S[t] + j) mod n] * x[j]: the entries S
+    of circulant_apply(h, x), or all n of them in order when S is None.
+
+    A power-of-2 n of at least _SPLIT_MIN with few entries S takes the split
+    path. With B = _SPLIT_ROWS and A = n / B, x[j1 + A j2] is entry (j2, j1)
+    of a B x A array. An FFT over j2, the twiddle w^(-m2 j1) with w =
+    exp(2 pi i / n), and an FFT over j1 give the spectrum X at m2 + B m1 as
+    entry (m2, m1). Since h and x are real, out[i] = (1/n) Re sum_m
+    conj(fh[m]) X[m] w^(-m i), and rows m2 and B - m2 contribute conjugate
+    terms, so only rows m2 <= B/2 are formed. An FFT over m1 of
+    conj(fh) X gives each row's sum at i mod A; the k sums over m2 with
+    weights w^(-m2 i) finish the entries. Its cost is n/2 log2 n complex
+    multiply-adds plus (B/2 + 1) k, in passes over short rows.
+    """
+
+    def __init__(self, h: np.ndarray, S: np.ndarray | None = None):
+        n = h.size
+        fh = np.fft.rfft(h)
+        H = _SPLIT_ROWS // 2 + 1
+        self.S = S
+        self.split = S is not None and n >= _SPLIT_MIN and not n & (n - 1) and H * S.size <= n
+        if not self.split:
+            self.fh = fh
+            return
+        B, A = _SPLIT_ROWS, n // _SPLIT_ROWS
+        m2 = np.arange(H)[:, None]
+        m = m2 + B * np.arange(A)  # the frequency of entry (m2, m1)
+        # conj(fh[m]); h is real, so fh at m > n/2 is conj(fh[n - m])
+        self.spec = fh[np.minimum(m, n - m)]
+        np.conjugate(self.spec, out=self.spec, where=m <= n // 2)
+        # the twiddle w^(-m2 j1) for j1 = lo + B hi, as a factor of each part
+        self.tw_lo = np.exp((-2j * np.pi / n) * (m2 * np.arange(B)))
+        self.tw_hi = np.exp((-2j * np.pi / n) * (m2 * np.arange(0, A, B)))
+        weights = np.full((H, 1), 2.0 / n)
+        weights[[0, -1]] = 1.0 / n
+        self.E = weights * np.exp((-2j * np.pi / n) * (m2 * S % n))
+        self.col = S % A
+
+
+def _correlate(plan: _CorrelationPlan, x: np.ndarray) -> np.ndarray:
+    # cross-correlation diagonalizes as fh * conj(fx); see _CorrelationPlan
     n = x.shape[-1]
-    return np.fft.irfft(fh * np.fft.rfft(x).conj(), n)
+    if not plan.split:
+        out = np.fft.irfft(plan.fh * np.fft.rfft(x).conj(), n)
+        return out if plan.S is None else out.take(plan.S, axis=-1)
+    B, A = _SPLIT_ROWS, n // _SPLIT_ROWS
+    T = np.fft.rfft(x.reshape(-1, B, A), axis=1)
+    parts = T.reshape(T.shape[0], T.shape[1], A // B, B)
+    parts *= plan.tw_lo[:, None, :]
+    parts *= plan.tw_hi[:, :, None]
+    np.fft.fft(T, axis=2, out=T)  # entry (m2, m1) is X[m2 + B m1]
+    T *= plan.spec
+    np.fft.fft(T, axis=2, out=T)
+    out = np.einsum("rhk,hk->rk", T[:, :, plan.col], plan.E).real
+    return out.reshape(x.shape[:-1] + (plan.S.size,))
 
 
 def naive_circulant_apply(h, x) -> np.ndarray:

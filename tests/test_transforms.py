@@ -8,7 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from circembed.rng import Stream
 from circembed.transforms import (
+    _SPLIT_ROWS,
     IndexSet,
+    _correlate,
+    _CorrelationPlan,
     _fwht_inplace,
     circulant_apply,
     fwht,
@@ -105,6 +108,23 @@ def test_circulant_bilinear(data):
 def test_circulant_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         circulant_apply(np.ones(4), np.ones(8))
+
+
+@pytest.mark.parametrize("p", [16, 17, 18])
+def test_split_correlation_matches_shifted_dot_products(p):
+    # entries S of the correlation, against one dot product per entry with
+    # no FFT; S holds both ends of a row, the ends of the first split
+    # column and the middle, where the spectrum turns over
+    n = 1 << p
+    s = Stream(29, f"split:{n}")
+    h, X = s.normals(n), s.normals(3 * n).reshape(3, n)
+    edges = [0, 1, n // _SPLIT_ROWS - 1, n // _SPLIT_ROWS, n // 2, n - 1]
+    S = np.array(edges + [i for i in s.index_subset(n, 58).tolist() if i not in edges])
+    plan = _CorrelationPlan(h, S)
+    assert plan.split
+    want = np.stack([X @ shift(h, i) for i in S.tolist()], axis=1)
+    np.testing.assert_allclose(_correlate(plan, X), want, atol=1e-9)
+    np.testing.assert_allclose(_correlate(plan, X[1]), want[1], atol=1e-9)
 
 
 # ---------------------------------------------------------------- fwht
