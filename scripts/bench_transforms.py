@@ -8,8 +8,9 @@ log factors and cache effects. A second table times the batched paths at
 fixed sizes: embed_points of N=1000 points at n=1024, k=256 for each kind.
 A third times one trial of each Monte Carlo experiment, single-threaded, at
 the sizes the gate suite runs it. A fourth times the pairwise layer once per
-repeat: coherence of N=1000 points at n=1000 (what gen prints), and
-evaluate_codes of N=1000 randomized codes with k=256 (what eval scores).
+repeat: coherence of N=1000 points at n=1000 (what gen prints),
+evaluate_codes of N=1000 randomized codes with k=256 (what eval scores), and
+save_result of that eval report, 499,500 per_pair rows (what eval writes).
 
 Usage:
     python3 scripts/bench_transforms.py --min-pow 14 --max-pow 20 --calls 20
@@ -17,6 +18,8 @@ Usage:
 
 import argparse
 import math
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -30,7 +33,7 @@ from circembed.embedders import (
     sample_randomized_operator,
 )
 from circembed.geometry import coherence
-from circembed.io import generate_pointset
+from circembed.io import ResultDocument, generate_pointset, save_result
 from circembed.rng import Rng
 from circembed.transforms import circulant_apply, fwht
 from circembed.validation import (
@@ -93,12 +96,20 @@ def build_trial_cases(seed: int):
     ]
 
 
-def build_pairwise_cases(seed: int):
+def build_pairwise_cases(seed: int, out: str):
     ps = generate_pointset("uniform_sphere", 1000, 1000, seed)
     codes = embed_points(sample_operator("randomized", 1000, 256, seed), ps.points)
+    report = evaluate_codes(ps, codes, kind="randomized", seed=seed)
+    doc = ResultDocument(
+        kind="eval",
+        params={"n": ps.n, "N": ps.N, "k": report.k, "seed": seed},
+        stats=report.to_stats(),
+        arrays={"per_pair": report.per_pair},
+    )
     return [
         ("coherence N=n=1000", lambda: coherence(ps)),
         ("evaluate_codes k=256", lambda: evaluate_codes(ps, codes)),
+        ("save_result eval N=1000", lambda: save_result(doc, out)),
     ]
 
 
@@ -132,17 +143,19 @@ def main() -> int:
         ts = table[name]
         ratios = " ".join(f"{ts[i + 1] / ts[i]:5.2f}" for i in range(len(ts) - 1))
         print(f"  {name.ljust(18)} {ratios}")
-    for title, cases, calls in (
-        ("batched paths, N=1000 points at n=1024 (k=256):", build_batched_cases(args.seed), args.calls),
-        ("one trial of each experiment at gate-suite sizes (threads=1):", build_trial_cases(args.seed),
-         args.calls),
-        ("pairwise layer, N=1000 points (one call per repeat):", build_pairwise_cases(args.seed), 1),
-    ):
-        print()
-        print(title)
-        for name, fn in cases:
-            fn()
-            print(f"  {name.ljust(24)} {time_callable(fn, calls, args.repeats) * 1e3:10.3f}ms")
+    with tempfile.TemporaryDirectory() as tmp:
+        for title, cases, calls in (
+            ("batched paths, N=1000 points at n=1024 (k=256):", build_batched_cases(args.seed), args.calls),
+            ("one trial of each experiment at gate-suite sizes (threads=1):", build_trial_cases(args.seed),
+             args.calls),
+            ("pairwise layer, N=1000 points (one call per repeat):",
+             build_pairwise_cases(args.seed, os.path.join(tmp, "eval.json")), 1),
+        ):
+            print()
+            print(title)
+            for name, fn in cases:
+                fn()
+                print(f"  {name.ljust(24)} {time_callable(fn, calls, args.repeats) * 1e3:10.3f}ms")
     return 0
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedders import _BLOCK_ENTRIES
+
 __all__ = [
     "PointSet",
     "CoherenceStats",
@@ -114,15 +116,22 @@ def _hamming_pairs(codes: np.ndarray, iu) -> np.ndarray:
 
 def _coherence(P: np.ndarray) -> CoherenceStats:
     """Coherence statistics of the rows of P, in O(N n) memory."""
+    N, n = P.shape
     rho_direct = float(np.abs(P).max())
     rho_cross, theta_min = rho_direct, 1.0
-    for i in range(P.shape[0] - 1):
-        D = P[i + 1 :] - P[i]
-        # one dot product per row, as a 1-D np.linalg.norm computes it
-        l2 = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
-        inf = np.abs(D, out=D).max(axis=1)
-        keep = l2 >= _DUP_TOL
-        rho_cross = max(rho_cross, float(np.max(inf[keep] / l2[keep], initial=0.0)))
+    # differences go through one reused buffer of about _BLOCK_ENTRIES
+    # entries, which stays in cache, instead of a fresh (N - i) x n array per row
+    rows = max(1, _BLOCK_ENTRIES // n)
+    buf = np.empty((min(rows, N), n))
+    for i in range(N - 1):
+        for a in range(i + 1, N, rows):
+            D = np.subtract(P[a : a + rows], P[i], out=buf[: min(rows, N - a)])
+            # one dot product per row, as a 1-D np.linalg.norm computes it
+            l2 = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+            inf = np.abs(D, out=D).max(axis=1)
+            keep = l2 >= _DUP_TOL
+            rho_cross = max(rho_cross, float(np.max(inf[keep] / l2[keep], initial=0.0)))
+        # one full-length matrix-vector product: a blocked one rounds some cosines differently
         theta_min = min(theta_min, float(_angles(P[i + 1 :] @ P[i]).min()))
     return CoherenceStats(rho_direct=rho_direct, rho_cross=rho_cross, theta_min=theta_min)
 

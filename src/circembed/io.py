@@ -14,6 +14,7 @@ echoes everything needed to reproduce the run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -157,11 +158,16 @@ def load_pointset_csv(path) -> PointSet:
 def save_codes(codes: np.ndarray, path) -> None:
     """One code per line, entries +1/-1 comma-separated."""
     codes = np.asarray(codes)
-    if codes.ndim != 2:
-        raise ValueError("codes must be an N x k matrix")
-    with open(path, "w") as f:
-        for row in codes:
-            f.write(",".join("+1" if v > 0 else "-1" for v in row) + "\n")
+    if codes.ndim != 2 or codes.shape[1] == 0:
+        raise ValueError("codes must be an N x k matrix with k >= 1")
+    # three bytes per entry: sign, "1", then "," or the row's closing newline
+    text = np.empty(codes.shape + (3,), dtype=np.uint8)
+    text[..., 0] = np.where(codes > 0, ord("+"), ord("-"))
+    text[..., 1] = ord("1")
+    text[..., 2] = ord(",")
+    text[:, -1, 2] = ord("\n")
+    with open(path, "wb") as f:
+        f.write(text.tobytes())
 
 
 def load_codes(path) -> np.ndarray:
@@ -198,6 +204,87 @@ def _jsonable(o):
     raise TypeError(f"not JSON-serializable: {type(o).__name__}")
 
 
+_ROWS_MARK = "\x00rows"  # stands in for a row-valued entry while json encodes the rest
+_ROWS_PER_CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A row-valued entry and the indentation of its key in the report."""
+
+    rows: tuple
+    indent: int
+
+
+def _is_rows(value) -> bool:
+    """True for a nonempty tuple of equal-length tuples of exact ints and finite floats.
+
+    For these items ``%r`` writes exactly what json writes (``int.__repr__``
+    and ``float.__repr__``); bool, NaN, inf and numpy scalars do not qualify.
+    """
+    if type(value) is not tuple or not value or set(map(type, value)) != {tuple}:
+        return False
+    if len(set(map(len, value))) != 1 or not value[0]:
+        return False
+    if not set(map(type, itertools.chain.from_iterable(value))) <= {int, float}:
+        return False
+    try:
+        return all(map(math.isfinite, itertools.chain.from_iterable(value)))
+    except OverflowError:  # an int beyond the float range; json writes it exactly
+        return False
+
+
+def _mark_rows(obj: dict, indent: int) -> dict:
+    """A copy of the dict tree with each row-valued entry wrapped in _Rows."""
+    out = {}
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            value = _mark_rows(value, indent + 2)
+        elif _is_rows(value):
+            value = _Rows(value, indent)
+        out[key] = value
+    return out
+
+
+def _row_chunks(entry: _Rows):
+    """The rows of one entry as json.dumps(indent=2) lays them out, in chunks."""
+    pad = "\n" + " " * entry.indent
+    row = pad + "  [" + ",".join([pad + "    %r"] * len(entry.rows[0])) + pad + "  ]"
+    fmt = row.__mod__
+    sep = "["
+    for a in range(0, len(entry.rows), _ROWS_PER_CHUNK):
+        yield sep + ",".join(map(fmt, entry.rows[a : a + _ROWS_PER_CHUNK]))
+        sep = ","
+    yield pad + "]"
+
+
+def _report_chunks(payload: dict):
+    """Text chunks that join to json.dumps(payload, sort_keys=True, indent=2) + "\\n".
+
+    json.dumps writes everything but the row-valued entries, which it sees
+    as a marker string; the rows are formatted by _row_chunks and spliced in
+    at the markers, in the order json reached them. json.dumps runs before
+    this returns, so a payload it refuses raises here; the rows are
+    formatted lazily as the chunks are consumed.
+    """
+    entries = []
+
+    def default(o):
+        if isinstance(o, _Rows):
+            entries.append(o)
+            return _ROWS_MARK
+        return _jsonable(o)
+
+    text = json.dumps(_mark_rows(payload, 2), sort_keys=True, indent=2, default=default) + "\n"
+    parts = text.split(json.dumps(_ROWS_MARK))
+    if len(parts) != len(entries) + 1:
+        raise ValueError(f"report contains the reserved string {_ROWS_MARK!r}")
+    pieces = [(parts[0],)]
+    for entry, part in zip(entries, parts[1:]):
+        pieces += [_row_chunks(entry), (part,)]
+    return itertools.chain.from_iterable(pieces)
+
+
 @dataclass
 class ResultDocument:
     """One experiment result: parameter echo plus statistics.
@@ -212,7 +299,7 @@ class ResultDocument:
     arrays: dict = field(default_factory=dict)
     schema_version: str = "1"
 
-    def to_json(self) -> str:
+    def _chunks(self):
         payload = {
             "schema_version": self.schema_version,
             "kind": self.kind,
@@ -220,7 +307,10 @@ class ResultDocument:
             "stats": self.stats,
             "arrays": self.arrays,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+        return _report_chunks(payload)
+
+    def to_json(self) -> str:
+        return "".join(self._chunks())
 
     @classmethod
     def from_json(cls, text: str) -> "ResultDocument":
@@ -244,7 +334,10 @@ class ResultDocument:
 
 
 def save_result(doc: ResultDocument, path) -> None:
-    Path(path).write_text(doc.to_json())
+    """Stream the report to path; the bytes equal those of ``doc.to_json()``."""
+    chunks = doc._chunks()  # raises before the file is opened if json refuses the report
+    with open(path, "w") as f:
+        f.writelines(chunks)
 
 
 def load_result(path) -> ResultDocument:

@@ -191,9 +191,15 @@ def test_eval_sampling_path_prints_json(tmp_path, capsys):
     capsys.readouterr()  # discard gen output
     assert run("eval", "--pointset", pts, "--kind", "gaussian", "--k", 8,
                "--seed", 5) == 0
-    payload = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    payload = json.loads(printed)
     assert payload["schema_version"] == "1"
     assert payload["params"]["kind"] == "gaussian"
+    # the streamed report file holds exactly the printed bytes
+    report = tmp_path / "report.json"
+    assert run("eval", "--pointset", pts, "--kind", "gaussian", "--k", 8,
+               "--seed", 5, "--out", report) == 0
+    assert report.read_bytes() == printed.encode()
 
 
 def test_eval_without_codes_or_kind_is_usage_error(tmp_path):

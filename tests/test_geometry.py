@@ -205,6 +205,23 @@ def test_coherence_matches_per_pair_reference(seed, extra):
     assert stats.theta_min == pytest.approx(theta_min, abs=1e-7 if extra in ("duplicate", "both") else 1e-14)
 
 
+@pytest.mark.parametrize("n, N", [(2**13, 20), (2**16, 18), (20000, 19)])
+def test_coherence_matches_reference_across_block_edges(n, N):
+    # 8, 1 and 3 difference rows per block; the duplicate and antipodal
+    # partners sit on both sides of a block edge
+    s = Stream(n, "cohblock")
+    P = np.stack([random_unit(s, n) for _ in range(N)])
+    rows = max(1, (1 << 16) // n)
+    for src, dst, sign in ((0, rows, 1.0), (1, rows + 1, -1.0), (2, 2 * rows + 1, 1.0), (4, N - 1, -1.0)):
+        if dst < N:
+            P[dst] = sign * P[src]
+    stats = coherence(PointSet(points=P))
+    rho_direct, rho_cross, theta_min = _coherence_reference(P)
+    assert stats.rho_direct == rho_direct
+    assert stats.rho_cross == rho_cross
+    assert stats.theta_min == pytest.approx(theta_min, abs=1e-7)
+
+
 @given(st.integers(2, 24), st.integers(1, 6), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_coherence_bounds(n, N, seed):

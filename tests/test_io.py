@@ -10,6 +10,7 @@ from circembed.errors import ParseError
 from circembed.geometry import angular_distance, coherence
 from circembed.io import (
     ResultDocument,
+    _jsonable,
     generate_pointset,
     load_codes,
     load_pointset,
@@ -170,6 +171,23 @@ def test_codes_round_trip(tmp_path):
     np.testing.assert_array_equal(load_codes(p), codes)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 3), (40, 64)])
+def test_codes_bytes_match_per_entry_formula(tmp_path, shape):
+    values = Stream(1, "codes:bytes").normals(shape[0] * shape[1]).reshape(shape)
+    values[values < -0.5] = 0.0  # zero entries are written as -1
+    for codes in (values, np.sign(values).astype(np.int8)):
+        p = tmp_path / "codes.csv"
+        save_codes(codes, p)
+        expected = "".join(",".join("+1" if v > 0 else "-1" for v in row) + "\n" for row in codes)
+        assert p.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("codes", [np.ones(4), np.ones((2, 0)), np.ones((2, 2, 2))])
+def test_codes_rejects_non_matrix(tmp_path, codes):
+    with pytest.raises(ValueError, match="N x k"):
+        save_codes(codes, tmp_path / "codes.csv")
+
+
 def test_codes_rejects_bad_token(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("+1,0\n")
@@ -203,6 +221,55 @@ def test_result_document_round_trip(tmp_path):
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
     back = load_result(p)
     assert back == doc
+
+
+_BIG = 2**53 + 1  # not exactly representable as a float
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        {"per_pair": ((0, 1, -0.0, 5e-324, 1e-300), (_BIG, 2**70, 0.1, 1e16, -2.5e-8))},
+        {"per_pair": ()},  # N = 1
+        {"per_pair": ((0, 1, True, 0.5), (0, 2, False, 0.25))},
+        {"per_pair": ((0, 1, 0.5), (0, 2, math.nan))},
+        {"per_pair": ((0, 1, math.inf), (0, 2, -math.inf))},
+        {"per_pair": ((0, 1, 0.5), (0, 2))},  # ragged
+        {"per_pair": [(0, 1, 0.5), (0, 2, 0.25)], "lists": ([0, 1], [2, 3])},
+        {"per_pair": ((), ()), "scalars": ((np.int64(1), np.float64(0.5)),)},
+        {"v": np.arange(3.0), "m": np.eye(2), "i": np.int32(7), "f": np.float32(0.25)},
+        {"per_pair": ((0, 1, 0.125),), "other": ((3, 4), (5, 6)), "z": {"nested": ((7, 8.5),)}},
+    ],
+)
+def test_result_writer_matches_json_dumps(tmp_path, arrays):
+    doc = ResultDocument(
+        kind="eval", params={"n": 8, "k": np.int64(4)}, stats={"m": 0.5, "rows": ((1, 2.0),)}, arrays=arrays
+    )
+    payload = {
+        "schema_version": "1",
+        "kind": doc.kind,
+        "params": doc.params,
+        "stats": doc.stats,
+        "arrays": doc.arrays,
+    }
+    expected = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    assert doc.to_json() == expected
+    p = tmp_path / "doc.json"
+    save_result(doc, p)
+    assert p.read_bytes() == expected.encode()
+
+
+def test_result_writer_refuses_before_writing(tmp_path):
+    p = tmp_path / "doc.json"
+    bad = ResultDocument(kind="x", params={"f": object()}, stats={}, arrays={"per_pair": ((0, 1, 0.5),)})
+    with pytest.raises(TypeError):
+        save_result(bad, p)
+    assert not p.exists()
+    # a document string equal to the internal row marker cannot be spliced
+    clash = ResultDocument(kind="\x00rows", params={}, stats={}, arrays={"per_pair": ((0, 1, 0.5),)})
+    with pytest.raises(ValueError, match="reserved"):
+        save_result(clash, p)
+    assert not p.exists()
 
 
 def test_result_document_rejects_wrong_version():
