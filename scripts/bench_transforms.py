@@ -11,6 +11,10 @@ the sizes the gate suite runs it. A fourth times the pairwise layer once per
 repeat: coherence of N=1000 points at n=1000 (what gen prints),
 evaluate_codes of N=1000 randomized codes with k=256 (what eval scores), and
 save_result of that eval report, 499,500 per_pair rows (what eval writes).
+A fifth times one whole quick gate suite with as many trial threads as
+cores, the default of validate. The header is the output of
+``circembed info``: numpy, the BLAS build, its thread count and whether
+reports pin it to one thread.
 
 Usage:
     python3 scripts/bench_transforms.py --min-pow 14 --max-pow 20 --calls 20
@@ -24,6 +28,7 @@ import time
 
 import numpy as np
 
+from circembed.cli import main as cli_main
 from circembed.embedders import (
     KINDS,
     embed,
@@ -42,6 +47,7 @@ from circembed.validation import (
     distortion_experiment,
     evaluate_codes,
     hadamard_coherence_experiment,
+    run_gate_suite,
 )
 
 
@@ -113,6 +119,11 @@ def build_pairwise_cases(seed: int, out: str):
     ]
 
 
+def build_suite_cases(seed: int):
+    threads = os.cpu_count() or 1
+    return [(f"gate suite threads={threads}", lambda: run_gate_suite(seed, quick=True, threads=threads))]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--min-pow", type=int, default=14)
@@ -122,6 +133,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
+    cli_main(["info"])
+    print()
     fwht(np.ones(2))  # first call outside the timed region
     sizes = [1 << p for p in range(args.min_pow, args.max_pow + 1)]
     names = [name for name, _ in build_cases(sizes[0], args.seed)]
@@ -150,6 +163,7 @@ def main() -> int:
              args.calls),
             ("pairwise layer, N=1000 points (one call per repeat):",
              build_pairwise_cases(args.seed, os.path.join(tmp, "eval.json")), 1),
+            ("quick gate suite (one call per repeat):", build_suite_cases(args.seed), 1),
         ):
             print()
             print(title)

@@ -6,6 +6,7 @@ Subcommands:
   eval      all-pairs distortion of codes against angles, JSON report
   sweep     grid of (k, delta) distortion experiments, CSV plus JSON summary
   validate  frozen Monte Carlo gate suite
+  info      numpy, BLAS and FWHT build and BLAS thread count, for bug reports
 
 Exit codes: 0 on success (and when all gates pass), 1 when gates fail,
 2 on usage errors (bad flags or parameter combinations), 3 on I/O failures
@@ -13,7 +14,10 @@ including unreadable or malformed files.
 
 All randomness flows from --seed through named substreams; no entropy is
 taken from the environment. Reruns with identical flags produce
-byte-identical outputs, independent of --threads.
+byte-identical outputs, independent of --threads and of the BLAS thread
+count: reports are computed with numpy's bundled OpenBLAS pinned to one
+thread (``info`` says whether that pin is available). ``info`` writes to
+stdout only and feeds no output file.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from .embedders import KINDS, R_DISTS, deserialize_operator, embed_points, sample_operator, serialize_operator
 from .errors import ParseError
 from .geometry import coherence
@@ -203,6 +208,21 @@ def cmd_validate(args) -> int:
     return 0 if all_pass else 1
 
 
+def cmd_info(args) -> int:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    count = _blas.thread_count()
+    print(f"numpy: {np.__version__}")
+    print(f"blas: {blas.get('name')} {blas.get('version')}")
+    print(f"blas threads: {'unknown' if count is None else count}")
+    if _blas.pin_available():
+        print("one-thread pin: available (reports are computed on one BLAS thread)")
+    else:
+        print("one-thread pin: unavailable (reports run on the BLAS thread count in effect, "
+              "and their last bits may depend on it)")
+    print("fwht: numpy (BLAS matmul)")
+    return 0
+
+
 def _add_common(p, threads=True):
     p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     if threads:
@@ -270,6 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("info", help="print the numpy and BLAS build and the BLAS thread count")
+    p.set_defaults(func=cmd_info)
 
     return parser
 

@@ -170,8 +170,26 @@ def save_codes(codes: np.ndarray, path) -> None:
         f.write(text.tobytes())
 
 
-def load_codes(path) -> np.ndarray:
-    text = Path(path).read_text()
+def _canonical_codes(data: bytes):
+    """The codes of a file laid out exactly as save_codes writes it, else None.
+
+    That layout is three bytes per entry (sign, ``1``, then ``,`` or the
+    row's newline) in rows of equal length, so one array view checks it.
+    """
+    width = data.find(b"\n") + 1
+    if width < 3 or width % 3 or len(data) % width:
+        return None
+    text = np.frombuffer(data, dtype=np.uint8).reshape(-1, width // 3, 3)
+    seps = np.full(width // 3, ord(","), dtype=np.uint8)
+    seps[-1] = ord("\n")
+    signs = text[..., 0]
+    plus = signs == ord("+")
+    if not ((text[..., 1] == ord("1")).all() and (text[..., 2] == seps).all() and (plus | (signs == ord("-"))).all()):
+        return None
+    return np.where(plus, 1, -1).astype(np.int8)
+
+
+def _codes_from_text(text: str) -> np.ndarray:
     rows = []
     pos = 0
     width = None
@@ -192,6 +210,17 @@ def load_codes(path) -> np.ndarray:
     if not rows:
         raise ParseError("no code rows", 0)
     return np.array(rows, dtype=np.int8)
+
+
+def load_codes(path) -> np.ndarray:
+    """Codes as an (N, k) int8 matrix of +1/-1.
+
+    Files in save_codes' layout are parsed as one array; any other file
+    (hand-written ``1`` entries, blank lines, CRLF, malformed input) goes
+    through the line parser, which reports the offset of the first bad line.
+    """
+    codes = _canonical_codes(Path(path).read_bytes())
+    return _codes_from_text(Path(path).read_text()) if codes is None else codes
 
 
 def _jsonable(o):
@@ -276,11 +305,15 @@ def _report_chunks(payload: dict):
         return _jsonable(o)
 
     text = json.dumps(_mark_rows(payload, 2), sort_keys=True, indent=2, default=default) + "\n"
+    # json's indenting encoder leaves its closures, and with them ``default``,
+    # in a reference cycle; emptying the list it appended to lets the rows be
+    # freed once written instead of at the next cyclic collection
+    rows, entries[:] = entries[:], []
     parts = text.split(json.dumps(_ROWS_MARK))
-    if len(parts) != len(entries) + 1:
+    if len(parts) != len(rows) + 1:
         raise ValueError(f"report contains the reserved string {_ROWS_MARK!r}")
     pieces = [(parts[0],)]
-    for entry, part in zip(entries, parts[1:]):
+    for entry, part in zip(rows, parts[1:]):
         pieces += [_row_chunks(entry), (part,)]
     return itertools.chain.from_iterable(pieces)
 

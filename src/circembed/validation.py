@@ -7,6 +7,11 @@ independent, a run is fully reproducible from its seed, and extending the
 trial count leaves earlier trials unchanged. Trials may fan out across
 threads; results come back in trial order, so reports never depend on
 scheduling.
+
+The public experiments, ``evaluate_codes`` and ``run_gate_suite`` run with
+BLAS pinned to one thread (``_blas.one_thread``), so the bits of their
+Gram, eigenvalue and angle computations, and so the reports, do not depend
+on the BLAS thread count, and the trial threads own the cores.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import embedders
+from . import _blas, embedders
 from .geometry import _PRE_ATOL, PointSet, _angular_pairs, _coherence, _hamming_pairs, angular_distance
 from .rng import Rng, derive_seed
 from .transforms import _shift_rows
@@ -180,6 +185,7 @@ def _distortion_report(ps: PointSet, kind: str, k: int, seed: int, delta_target:
     )
 
 
+@_blas.one_thread()
 def distortion_experiment(
     ps: PointSet,
     kind: str,
@@ -207,6 +213,7 @@ def distortion_experiment(
     return _distortion_report(ps, kind, k, seed, delta_target, rows)
 
 
+@_blas.one_thread()
 def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, kind: str = "codes", seed: int = 0) -> DistortionReport:
     """Distortion of precomputed codes against a point set (single trial)."""
     codes = np.asarray(codes)
@@ -329,6 +336,7 @@ def conditioning_sample(x, y, r, S, theta: Optional[float] = None, v0=None) -> f
     return _sym_spectral_norm(G - _i_theta(k, theta), v0)
 
 
+@_blas.one_thread()
 def conditioning_experiment(x, y, k: int, trials: int, seed: int, threads: int = 1) -> ConditioningReport:
     """Sample sigma_max(M^T M - I_theta) across fresh draws of (r, S)."""
     xv, yv = _unit_pair(x, y)
@@ -393,6 +401,7 @@ def modulation_sample(points: np.ndarray, b: np.ndarray, good_threshold: float):
     return float(inf_norms.max()), float((inf_norms <= good_threshold).mean())
 
 
+@_blas.one_thread()
 def hadamard_coherence_experiment(
     ps: PointSet, trials: int, seed: int, good_const: float = 2.0, threads: int = 1
 ) -> ModulationReport:
@@ -477,12 +486,13 @@ def decomposition_sample(x, y, r, S):
         if q_count:
             P_cols[i] = base.T @ (base @ X[i])
             P_cols[k + i] = base.T @ (base @ Y[i])
-        for col in (X[i], Y[i]):
-            res = col.copy()
+        # X_i's first Gram-Schmidt pass is its projection P_cols[i]; Y_i takes
+        # both passes, since the basis may have grown by X_i
+        for col, res, passes in ((X[i], X[i] - P_cols[i], 1), (Y[i], Y[i].copy(), 2)):
             if q_count:
-                res -= Q[:q_count].T @ (Q[:q_count] @ res)
-                # second pass keeps the basis orthonormal at machine precision
-                res -= Q[:q_count].T @ (Q[:q_count] @ res)
+                # the second pass keeps the basis orthonormal at machine precision
+                for _ in range(passes):
+                    res -= Q[:q_count].T @ (Q[:q_count] @ res)
             nr = float(np.linalg.norm(res))
             if nr < _SPAN_TOL * max(1.0, float(np.linalg.norm(col))):
                 degenerate = True
@@ -493,6 +503,7 @@ def decomposition_sample(x, y, r, S):
     return float(col_norms.max()), float(np.linalg.norm(P_cols, 2)), degenerate
 
 
+@_blas.one_thread()
 def decomposition_experiment(x, y, k: int, delta: float, trials: int, seed: int, threads: int = 1) -> DecompositionReport:
     """Monte Carlo on the interleaved-shift projection norms."""
     xv, yv = _unit_pair(x, y)
@@ -546,6 +557,7 @@ def _gate(name: str, measured: float, op: str, threshold: float, detail: str = "
     return GateResult(name=name, measured=float(measured), threshold=float(threshold), op=op, passed=ok, detail=detail)
 
 
+@_blas.one_thread()
 def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list:
     """Run the frozen Monte Carlo regression gates; returns GateResult rows.
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from circembed import embedders
+from circembed import _blas, embedders
 from circembed.cli import main
 from circembed.io import load_codes, load_pointset, load_result
 
@@ -261,6 +261,33 @@ def test_validate_quick_passes(tmp_path, capsys):
     doc = load_result(out)
     assert doc.stats["all_pass"] is True
     assert len(doc.arrays["gates"]) == 7
+
+
+# ---------------------------------------------------------------- info
+
+def test_info_prints_numpy_blas_and_fwht(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("info") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"numpy: {np.__version__}"
+    assert [ln.split(":")[0] for ln in lines] == ["numpy", "blas", "blas threads", "one-thread pin", "fwht"]
+    count = _blas.thread_count()
+    assert lines[2] == f"blas threads: {'unknown' if count is None else count}"
+    assert lines[3].startswith("one-thread pin: available" if _blas.pin_available() else "one-thread pin: unavailable")
+    assert lines[4] == "fwht: numpy (BLAS matmul)"
+    assert list(tmp_path.iterdir()) == []  # writes no file
+
+
+def test_info_without_the_pin_says_so(capsys, monkeypatch):
+    monkeypatch.setattr(_blas, "_functions", lambda: None)
+    assert run("info") == 0
+    out = capsys.readouterr().out
+    assert "blas threads: unknown\n" in out
+    assert "one-thread pin: unavailable" in out
+
+
+def test_info_takes_no_flags():
+    assert run("info", "--seed", 1) == 2
 
 
 # ---------------------------------------------------------------- entry point

@@ -19,10 +19,10 @@ Walsh-Hadamard transform is a single BLAS product, which BLAS may sum in
 another order for a batch of rows than for one vector.
 
 Conditioning and decomposition reports are rounded to 12 decimals too.
-Their Gram matrices, eigenvalues and projections are BLAS products whose
-summation order depends on how many threads BLAS runs: at k=128 the exact
-conditioning samples differ in the last bits between one and two OpenBLAS
-threads, while their 12-decimal roundings agree. The coherence figures
+Their Gram matrices, eigenvalues and projections are BLAS products. The
+experiments run them on one BLAS thread, so the BLAS thread count no
+longer changes their bits, but another BLAS build or CPU kernel may still
+sum them in another order. The coherence figures
 those reports carry (``rho``, ``bound_value`` and ``rho_direct``) are
 elementwise maxima and one dot product per pair, so their exact ``repr``
 is pinned. ``coherence`` of a point set is rounded to 12 decimals, since

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +12,8 @@ from circembed.errors import ParseError
 from circembed.geometry import angular_distance, coherence
 from circembed.io import (
     ResultDocument,
+    _canonical_codes,
+    _codes_from_text,
     _jsonable,
     generate_pointset,
     load_codes,
@@ -188,6 +192,56 @@ def test_codes_rejects_non_matrix(tmp_path, codes):
         save_codes(codes, tmp_path / "codes.csv")
 
 
+def _line_parse(path):
+    """What the line parser makes of a file: the codes, or the error and its offset."""
+    try:
+        return _codes_from_text(path.read_text())
+    except ParseError as e:
+        return str(e), e.offset
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 3), (40, 64), (1000, 256)])
+def test_codes_canonical_parse_matches_line_parser(tmp_path, shape):
+    codes = Stream(2, "codes:canonical").rademacher(shape[0] * shape[1]).reshape(shape)
+    p = tmp_path / "codes.csv"
+    save_codes(codes, p)
+    fast = _canonical_codes(p.read_bytes())
+    assert fast is not None and fast.dtype == np.int8
+    np.testing.assert_array_equal(fast, _line_parse(p))
+    np.testing.assert_array_equal(load_codes(p), codes)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,-1\n-1,1\n",  # hand-written 1
+        "+1,-1\n\n-1,+1\n",  # blank line
+        "+1,-1\r\n-1,+1\r\n",  # CRLF
+        "+1,-1\n-1,+1",  # no final newline
+        "+1,-1\n-1,+1\n\n",
+        "+1,0\n",
+        "+1,+2\n",
+        "+1,-1\n+1;-1\n",
+        "+1,-1\n+1\n-1\n",
+        "+1,-1\n+1,-1,+1\n",
+        "*1,-1\n",
+        "",
+        "\n\n",
+    ],
+)
+def test_codes_other_layouts_take_the_line_parser(tmp_path, text):
+    p = tmp_path / "codes.csv"
+    p.write_bytes(text.encode())
+    assert _canonical_codes(p.read_bytes()) is None
+    expected = _line_parse(p)
+    if isinstance(expected, tuple):
+        with pytest.raises(ParseError) as ei:
+            load_codes(p)
+        assert (str(ei.value), ei.value.offset) == expected
+    else:
+        np.testing.assert_array_equal(load_codes(p), expected)
+
+
 def test_codes_rejects_bad_token(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("+1,0\n")
@@ -270,6 +324,21 @@ def test_result_writer_refuses_before_writing(tmp_path):
     with pytest.raises(ValueError, match="reserved"):
         save_result(clash, p)
     assert not p.exists()
+
+
+def test_result_writer_frees_rows_without_a_cyclic_collection(tmp_path):
+    # a row table held until the next collection coexists with the next
+    # report's table; at N=1000 that is about 50 MB of peak memory
+    rows = tuple((i, i + 1, 0.25) for i in range(100))
+    doc = ResultDocument(kind="eval", params={}, stats={}, arrays={"per_pair": rows})
+    gc.disable()
+    try:
+        before = sys.getrefcount(rows)
+        save_result(doc, tmp_path / "doc.json")
+        doc.to_json()
+        assert sys.getrefcount(rows) == before
+    finally:
+        gc.enable()
 
 
 def test_result_document_rejects_wrong_version():

@@ -7,7 +7,7 @@ from circembed.embedders import embed_points, sample_operator
 from circembed.geometry import PointSet, coherence
 from circembed.io import generate_pointset
 from circembed.rng import Stream, derive_seed
-from circembed.transforms import fwht, hadamard_matrix
+from circembed.transforms import _shift_rows, fwht, hadamard_matrix
 from circembed.validation import (
     _power_iteration,
     check_condition1,
@@ -276,6 +276,48 @@ def test_decomposition_column_norm_below_spectral_norm():
         max_col, p_norm, degenerate = decomposition_sample(x, y, r, S)
         assert not degenerate
         assert max_col <= p_norm + 1e-9
+
+
+def _decomposition_reference(x, y, r, S):
+    """decomposition_sample with X_i's first Gram-Schmidt pass computed afresh."""
+    X = _shift_rows(r * x, S)
+    Y = _shift_rows(r * y, S)
+    k = S.size
+    Q = np.zeros((2 * k, x.size))
+    q_count = 0
+    P_cols = np.zeros((2 * k, x.size))
+    degenerate = False
+    for i in range(k):
+        base = Q[:q_count]
+        if q_count:
+            P_cols[i] = base.T @ (base @ X[i])
+            P_cols[k + i] = base.T @ (base @ Y[i])
+        for col in (X[i], Y[i]):
+            res = col.copy()
+            if q_count:
+                res -= Q[:q_count].T @ (Q[:q_count] @ res)
+                res -= Q[:q_count].T @ (Q[:q_count] @ res)
+            nr = float(np.linalg.norm(res))
+            if nr < 1e-12 * max(1.0, float(np.linalg.norm(col))):
+                degenerate = True
+                continue
+            Q[q_count] = res / nr
+            q_count += 1
+    col_norms = np.linalg.norm(P_cols, axis=1)
+    return float(col_norms.max()), float(np.linalg.norm(P_cols, 2)), degenerate
+
+
+@pytest.mark.parametrize("n, k", [(64, 8), (256, 32), (256, 128)])
+def test_decomposition_sample_matches_reference_bit_for_bit(n, k):
+    x, y = flat_pair(n)
+    s = Stream(13, f"dec:{n}:{k}")
+    for _ in range(4):
+        r = s.normals(n)
+        S = s.index_subset(n, k)
+        assert decomposition_sample(x, y, r, S) == _decomposition_reference(x, y, r, S)
+    # a pair whose columns fall inside the running span
+    S = np.arange(k)
+    assert decomposition_sample(x, x, np.ones(n), S) == _decomposition_reference(x, x, np.ones(n), S)
 
 
 def test_decomposition_experiment_report():
