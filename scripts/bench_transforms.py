@@ -8,13 +8,14 @@ log factors and cache effects. A second table times the batched paths at
 fixed sizes: embed_points of N=1000 points at n=1024, k=256 for each kind.
 A third times one trial of each Monte Carlo experiment, single-threaded, at
 the sizes the gate suite runs it. A fourth times the pairwise layer once per
-repeat: coherence of N=1000 points at n=1000 (what gen prints),
-evaluate_codes of N=1000 randomized codes with k=256 (what eval scores), and
-save_result of that eval report, 499,500 per_pair rows (what eval writes).
-A fifth times one whole quick gate suite with as many trial threads as
-cores, the default of validate. The header is the output of
-``circembed info``: numpy, the BLAS build, its thread count and whether
-reports pin it to one thread.
+repeat: coherence of N=1000 points at n=1000 (what gen prints) and of the
+sets its pruning bound helps least (spiky and clustered_pairs at n=N=1000,
+uniform_sphere at n=8, N=2000), evaluate_codes of N=1000 randomized codes
+with k=256 (what eval scores), and save_result of that eval report,
+499,500 per_pair rows (what eval writes). A fifth times one whole quick
+gate suite with as many trial threads as cores, the default of validate.
+The header is the output of ``circembed info``: numpy, the BLAS build, its
+thread count and whether reports pin it to one thread.
 
 Usage:
     python3 scripts/bench_transforms.py --min-pow 14 --max-pow 20 --calls 20
@@ -112,8 +113,13 @@ def build_pairwise_cases(seed: int, out: str):
         stats=report.to_stats(),
         arrays={"per_pair": report.per_pair},
     )
+    worst = [generate_pointset(kind, n, N, seed) for kind, n, N in
+             (("spiky", 1000, 1000), ("clustered_pairs", 1000, 1000), ("uniform_sphere", 8, 2000))]
     return [
         ("coherence N=n=1000", lambda: coherence(ps)),
+        ("coherence spiky N=n=1000", lambda: coherence(worst[0])),
+        ("coherence clustered N=n=1000", lambda: coherence(worst[1])),
+        ("coherence n=8 N=2000", lambda: coherence(worst[2])),
         ("evaluate_codes k=256", lambda: evaluate_codes(ps, codes)),
         ("save_result eval N=1000", lambda: save_result(doc, out)),
     ]
@@ -169,7 +175,7 @@ def main() -> int:
             print(title)
             for name, fn in cases:
                 fn()
-                print(f"  {name.ljust(24)} {time_callable(fn, calls, args.repeats) * 1e3:10.3f}ms")
+                print(f"  {name.ljust(30)} {time_callable(fn, calls, args.repeats) * 1e3:10.3f}ms")
     return 0
 
 

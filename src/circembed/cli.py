@@ -23,6 +23,7 @@ stdout only and feeds no output file.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -232,6 +233,9 @@ def _add_common(p, threads=True):
         )
 
 
+# built once per process: each argparse tree is a reference cycle that only
+# a full collection frees
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circembed",
@@ -248,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None, help="noise scale for spiky")
     p.add_argument("--out", required=True)
     _add_common(p, threads=False)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("embed", help="embed a point set into sign codes")
     p.add_argument("--pointset", required=True)
@@ -259,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="codes CSV path")
     p.add_argument("--operator-out", default=None, help="operator sidecar path (default <out>.beop)")
     _add_common(p)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("eval", help="all-pairs distortion report")
     p.add_argument("--pointset", required=True)
@@ -271,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.15, help="distortion target")
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="distortion grid over k and delta")
     p.add_argument("--pointset", required=True)
@@ -283,29 +284,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", required=True)
     p.add_argument("--json-out", default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="run the frozen gate suite")
     p.add_argument("--quick", action="store_true", help="reduced trial counts")
     p.add_argument("--json-out", default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("info", help="print the numpy and BLAS build and the BLAS thread count")
-    p.set_defaults(func=cmd_info)
+    sub.add_parser("info", help="print the numpy and BLAS build and the BLAS thread count")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors and 0 on --help
         return int(e.code or 0)
     try:
-        return args.func(args)
+        # looked up per call, so a wrapper bound to a cmd_* name sees it
+        return globals()[f"cmd_{args.subcommand}"](args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import embedders
 from .errors import ParseError
 from .geometry import PointSet
 from .rng import Rng
@@ -391,9 +392,14 @@ def generate_pointset(kind: str, n: int, N: int, seed: int, params=None) -> Poin
     clustered_pairs
         N/2 random base points, each followed by a partner rotated away by
         a fixed angle params["theta"] (normalized units, default 0.1).
+
+    A set of more than ``embedders._MAX_ENTRIES`` float64 entries is refused
+    before anything is drawn.
     """
     if n < 2 or N < 1:
         raise ValueError(f"need n >= 2 and N >= 1, got n={n}, N={N}")
+    if N * n > embedders._MAX_ENTRIES:
+        raise ValueError(f"a point set with n={n}, N={N} has {N * n} entries, over the cap of {embedders._MAX_ENTRIES}")
     params = dict(params or {})
     rng = Rng(seed)
     if kind == "uniform_sphere":

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import struct
 import subprocess
@@ -6,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from circembed import _blas, embedders
+from circembed import _blas, embedders, rng
 from circembed.cli import main
 from circembed.io import load_codes, load_pointset, load_result
 
@@ -48,6 +50,21 @@ def test_gen_rejects_misapplied_param(tmp_path):
     code = run("gen", "--kind", "flat_signs", "--n", 8, "--N", 4,
                "--theta", 0.2, "--out", tmp_path / "x.pset")
     assert code == 2
+
+
+def test_gen_over_the_cap_is_usage_error_before_any_draw(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(embedders, "_MAX_ENTRIES", 32 * 8 - 1)
+    for kind in ("uniform_sphere", "flat_signs", "spiky", "clustered_pairs"):
+        with monkeypatch.context() as m:
+            # nothing may be drawn for a set over the cap
+            m.setattr(rng.Stream, "normals", lambda *a: pytest.fail("drew normals"))
+            m.setattr(rng.Stream, "rademacher", lambda *a: pytest.fail("drew signs"))
+            assert run("gen", "--kind", kind, "--n", 32, "--N", 8, "--out", tmp_path / "x.pset") == 2
+        assert "over the cap of 255" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # a set exactly at the cap is still written
+    monkeypatch.setattr(embedders, "_MAX_ENTRIES", 32 * 8)
+    assert run("gen", "--kind", "uniform_sphere", "--n", 32, "--N", 8, "--out", tmp_path / "x.pset") == 0
 
 
 def test_no_subcommand_is_usage_error():
@@ -288,6 +305,24 @@ def test_info_without_the_pin_says_so(capsys, monkeypatch):
 
 def test_info_takes_no_flags():
     assert run("info", "--seed", 1) == 2
+
+
+def test_main_reuses_one_parser(capsys):
+    assert run("info") == 0
+    gc.collect()
+    gc.garbage.clear()
+    debug = gc.get_debug()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert run("info") == 0
+        gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        gc.enable()
+    assert parsers == []
 
 
 # ---------------------------------------------------------------- entry point

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circembed import geometry
 from circembed.geometry import (
     CoherenceStats,
     PointSet,
@@ -13,6 +15,7 @@ from circembed.geometry import (
     coherence,
     hamming_normalized,
 )
+from circembed.io import generate_pointset
 from circembed.rng import Stream
 
 
@@ -220,6 +223,126 @@ def test_coherence_matches_reference_across_block_edges(n, N):
     assert stats.rho_direct == rho_direct
     assert stats.rho_cross == rho_cross
     assert stats.theta_min == pytest.approx(theta_min, abs=1e-7)
+
+
+def _coherence_full_scan(P):
+    # the scan without pair pruning: every pair through the exact path, rows
+    # in index order, differences in blocks of about 2^16 entries
+    N, n = P.shape
+    rho_direct = float(np.abs(P).max())
+    rho_cross, theta_min = rho_direct, 1.0
+    rows = max(1, (1 << 16) // n)
+    buf = np.empty((min(rows, N), n))
+    for i in range(N - 1):
+        for a in range(i + 1, N, rows):
+            D = np.subtract(P[a : a + rows], P[i], out=buf[: min(rows, N - a)])
+            l2 = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+            inf = np.abs(D, out=D).max(axis=1)
+            keep = l2 >= 1e-12
+            rho_cross = max(rho_cross, float(np.max(inf[keep] / l2[keep], initial=0.0)))
+        cos = P[i + 1 :] @ P[i]
+        theta_min = min(theta_min, float((np.arccos(np.clip(cos, -1.0, 1.0)) / math.pi).min()))
+    return CoherenceStats(rho_direct=rho_direct, rho_cross=rho_cross, theta_min=theta_min)
+
+
+def _assert_matches_full_scan(P):
+    got, want = coherence(PointSet(points=P)), _coherence_full_scan(P)
+    assert (got.rho_direct, got.rho_cross, got.theta_min) == (want.rho_direct, want.rho_cross, want.theta_min)
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", ["uniform_sphere", "flat_signs", "spiky", "clustered_pairs"])
+@pytest.mark.parametrize("n, N", [(2, 64), (8, 300), (64, 200), (300, 120)])
+def test_coherence_matches_full_scan_on_every_kind(kind, n, N):
+    # spiky prunes no pair; clustered_pairs has tied cosines; flat_signs ties ratios
+    for seed in (0, 1):
+        _assert_matches_full_scan(generate_pointset(kind, n, N, 50 + seed).points)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 5, 64])
+def test_coherence_matches_full_scan_on_tiny_sets(n, N):
+    for seed in range(4):
+        _assert_matches_full_scan(generate_pointset("uniform_sphere", n, N, seed).points)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13, 1e-11, 1e-10])
+@pytest.mark.parametrize("n", [2, 3, 40, 500])
+def test_coherence_matches_full_scan_on_duplicates_and_antipodes(n, gap):
+    # 1e-13 apart counts as a duplicate; 1e-11 apart gives a ratio near 1
+    # from a squared distance far below the rounding of s_i + s_j - 2c
+    P = generate_pointset("uniform_sphere", n, 60, n).points.copy()
+    P[7] = -P[3]
+    P[59] = -P[0]
+    for src, dst in ((2, 11), (2, 40), (5, 58)):
+        P[dst] = P[src]
+        P[dst, dst % n] += gap
+    _assert_matches_full_scan(P)
+
+
+@pytest.mark.parametrize("n, N", [(2**13, 60), (2**16, 12), (20000, 30)])
+def test_coherence_matches_full_scan_across_block_edges(n, N):
+    # 8, 1 and 3 difference rows per block. Row 0 gets close neighbours
+    # spread over the set, so its candidates are gathered in several
+    # buffer-sized chunks; the duplicate and antipodal partners sit on both
+    # sides of a block edge.
+    s = Stream(n, "cohblock-prune")
+    P = np.stack([random_unit(s, n) for _ in range(N)])
+    rows = max(1, (1 << 16) // n)
+    for j in range(3, N, 4):
+        P[j] = unit(P[0] + 0.05 * s.normals(n) / math.sqrt(n))
+    for src, dst, sign in ((0, rows, 1.0), (1, rows + 1, -1.0), (4, N - 1, -1.0)):
+        P[dst] = sign * P[src]
+    _assert_matches_full_scan(P)
+
+
+@given(st.integers(2, 40), st.integers(1, 40), st.integers(0, 2**32), st.sampled_from([0.0, 1e-13, 1e-11]))
+@settings(max_examples=80, deadline=None)
+def test_coherence_matches_full_scan_property(n, N, seed, gap):
+    s = Stream(seed, "cohfull")
+    P = np.stack([random_unit(s, n) for _ in range(N)])
+    if N >= 4:
+        P[N - 1] = -P[1]
+        P[N // 2] = P[0]
+        P[N // 2, 0] += gap
+    _assert_matches_full_scan(P)
+
+
+def test_coherence_matches_full_scan_on_near_tied_pairs():
+    # x and y spike on one coordinate with opposite signs, so the bound of
+    # their pair is tight, and permuted copies of the pair have the same
+    # ratio up to the last bits. Skipping a pair on a bound without its
+    # rounding terms loses the largest of these ratios on some of the sets.
+    s = Stream(8, "cohtie")
+    for n in range(3, 40):
+        for _ in range(16):
+            x, y = 0.1 * s.normals(n), 0.1 * s.normals(n)
+            x[0], y[0] = 1.0, -1.0
+            x, y = unit(x), unit(y)
+            perms = [np.argsort(s.normals(n)) for _ in range(6)]
+            _assert_matches_full_scan(np.stack([v[p] for p in perms for v in (x, y)]))
+
+
+def test_coherence_prunes_generic_pairs(monkeypatch):
+    # on generic data the bound rules out nearly every pair before the exact path
+    seen = []
+    exact = geometry._max_ratio
+    monkeypatch.setattr(geometry, "_max_ratio", lambda D: seen.append(len(D)) or exact(D))
+    P = generate_pointset("uniform_sphere", 400, 400, 3).points
+    assert coherence(PointSet(points=P)) == _coherence_full_scan(P)
+    assert sum(seen) < 0.05 * 400 * 399 / 2
+
+
+def test_coherence_memory_is_linear_in_N():
+    P = generate_pointset("uniform_sphere", 4, 1500, 5).points
+    tracemalloc.start()
+    try:
+        coherence(PointSet(points=P))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # N^2 / 2 float64 entries would take 9 MB
+    assert peak < 2**20
 
 
 @given(st.integers(2, 24), st.integers(1, 6), st.integers(0, 2**32))
