@@ -12,8 +12,10 @@ repeat: coherence of N=1000 points at n=1000 (what gen prints) and of the
 sets its pruning bound helps least (spiky and clustered_pairs at n=N=1000,
 uniform_sphere at n=8, N=2000), evaluate_codes of N=1000 randomized codes
 with k=256 (what eval scores), and save_result of that eval report,
-499,500 per_pair rows (what eval writes). A fifth times one whole quick
-gate suite with as many trial threads as cores, the default of validate.
+499,500 per_pair rows (what eval writes). A fifth times the text readers
+at N=1000: load_codes of a CRLF codes file with k=256, which takes the line
+parser, and load_pointset_csv at n=1000. A sixth times one whole quick gate
+suite with as many trial threads as cores, the default of validate.
 The header is the output of ``circembed info``: numpy, the BLAS build, its
 thread count and whether reports pin it to one thread.
 
@@ -39,7 +41,15 @@ from circembed.embedders import (
     sample_randomized_operator,
 )
 from circembed.geometry import coherence
-from circembed.io import ResultDocument, generate_pointset, save_result
+from circembed.io import (
+    ResultDocument,
+    generate_pointset,
+    load_codes,
+    load_pointset_csv,
+    save_codes,
+    save_pointset_csv,
+    save_result,
+)
 from circembed.rng import Rng
 from circembed.transforms import circulant_apply, fwht
 from circembed.validation import (
@@ -125,6 +135,21 @@ def build_pairwise_cases(seed: int, out: str):
     ]
 
 
+def build_codec_cases(seed: int, tmp: str):
+    ps = generate_pointset("uniform_sphere", 1000, 1000, seed)
+    codes_path = os.path.join(tmp, "codes.csv")
+    save_codes(embed_points(sample_operator("randomized", 1000, 256, seed), ps.points), codes_path)
+    crlf_path = os.path.join(tmp, "codes_crlf.csv")
+    with open(codes_path, "rb") as f, open(crlf_path, "wb") as g:
+        g.write(f.read().replace(b"\n", b"\r\n"))
+    csv_path = os.path.join(tmp, "pts.csv")
+    save_pointset_csv(ps, csv_path)
+    return [
+        ("load_codes CRLF k=256", lambda: load_codes(crlf_path)),
+        ("load_pointset_csv n=1000", lambda: load_pointset_csv(csv_path)),
+    ]
+
+
 def build_suite_cases(seed: int):
     threads = os.cpu_count() or 1
     return [(f"gate suite threads={threads}", lambda: run_gate_suite(seed, quick=True, threads=threads))]
@@ -169,6 +194,7 @@ def main() -> int:
              args.calls),
             ("pairwise layer, N=1000 points (one call per repeat):",
              build_pairwise_cases(args.seed, os.path.join(tmp, "eval.json")), 1),
+            ("text readers, N=1000 (one call per repeat):", build_codec_cases(args.seed, tmp), 1),
             ("quick gate suite (one call per repeat):", build_suite_cases(args.seed), 1),
         ):
             print()

@@ -2,7 +2,7 @@
 
 
 class ParseError(ValueError):
-    """Malformed bytes or text; ``offset`` is where parsing gave up."""
+    """Malformed bytes or text; ``offset`` is the byte offset where parsing gave up."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import embedders
 from .embedders import _BLOCK_ENTRIES
 
 __all__ = [
@@ -102,8 +103,14 @@ def _angles(cos: np.ndarray) -> np.ndarray:
 
 
 def _angular_pairs(points: np.ndarray):
-    """Upper-triangle indices of the rows and the angle of each pair."""
-    iu = np.triu_indices(points.shape[0], 1)
+    """Upper-triangle indices of the rows and the angle of each pair.
+
+    An N x N Gram matrix over ``embedders._MAX_ENTRIES`` entries is refused before allocation.
+    """
+    N = points.shape[0]
+    if N * N > embedders._MAX_ENTRIES:
+        raise ValueError(f"all pairs of N={N} points need {N * N} Gram entries, over the cap of {embedders._MAX_ENTRIES}")
+    iu = np.triu_indices(N, 1)
     return iu, _angles((points @ points.T)[iu])
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import embedders
 from .errors import ParseError
-from .geometry import PointSet
+from .geometry import _UNIT_ATOL, PointSet
 from .rng import Rng
 
 __all__ = [
@@ -44,31 +44,66 @@ __all__ = [
 
 _MAGIC = b"PSET1"
 _HEADER_LEN = 21
-_RENORM_TOL = 1e-9  # rows off by more than this get renormalized
 _WARN_TOL = 1e-6  # rows off by more than this additionally warn
+_CODE_TOKENS = frozenset(("+1", "-1", "1"))
 
 
-def _apply_unit_policy(raw: np.ndarray, origin: str) -> np.ndarray:
+def _text(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8: {e.reason}", e.start) from None
+
+
+def _records(data: bytes):
+    """(byte offset, comma-separated fields) of each nonblank line of a UTF-8 text.
+
+    Lines end wherever ``str.splitlines`` ends them, so LF, CRLF and CR-only
+    files all parse.
+    """
+    pos = 0
+    for line in _text(data).splitlines(keepends=True):
+        if line.strip():
+            yield pos, line.splitlines()[0].split(",")
+        pos += len(line.encode("utf-8"))
+
+
+def _apply_unit_policy(raw: np.ndarray, norms: np.ndarray, origin: str) -> np.ndarray:
     """Normalize rows to unit norm, leaving already-unit rows untouched.
 
-    Rows within 1e-9 of unit norm pass through bit-exactly. Deviations up to
-    1e-6 are silently renormalized; anything worse renormalizes too but
-    draws a warning, since the data was probably not meant to be spherical.
+    Rows within 1e-9 (the PointSet tolerance) of unit norm pass through
+    bit-exactly. Deviations up to 1e-6 are silently renormalized; anything
+    worse renormalizes too but warns: the data was probably not spherical.
     """
-    norms = np.linalg.norm(raw, axis=1)
     off = np.abs(norms - 1.0)
     worst = float(off.max())
     if worst > _WARN_TOL:
         n_bad = int((off > _WARN_TOL).sum())
         warnings.warn(
             f"{origin}: {n_bad} rows deviate from unit norm by up to {worst:.3g}; renormalizing",
-            stacklevel=3,
+            stacklevel=4,
         )
-    fix = off > _RENORM_TOL
+    fix = off > _UNIT_ATOL
     if fix.any():
         raw = raw.copy()
         raw[fix] /= norms[fix, None]
     return raw
+
+
+def _checked_points(raw: np.ndarray, origin: str, offset_of) -> PointSet:
+    """The rows of a loaded file as a PointSet, refusing non-finite entries and zero rows.
+
+    ``offset_of(row, column)`` is the byte offset an error at that entry reports.
+    """
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad.ravel())), raw.shape[1])
+        raise ParseError(f"non-finite value at row {row}, column {col}", offset_of(row, col))
+    norms = np.linalg.norm(raw, axis=1)
+    if (norms == 0.0).any():
+        row = int(np.argmax(norms == 0.0))
+        raise ParseError(f"row {row} is all zeros", offset_of(row, 0))
+    return PointSet(_apply_unit_policy(raw, norms, origin))
 
 
 def load_pointset(path) -> PointSet:
@@ -87,18 +122,7 @@ def load_pointset(path) -> PointSet:
             min(len(data), expected),
         )
     raw = np.frombuffer(data, dtype="<f8", offset=_HEADER_LEN).reshape(N, n).astype(np.float64)
-    finite = np.isfinite(raw)
-    if not finite.all():
-        flat = int(np.argmax(~finite.ravel()))
-        raise ParseError(
-            f"non-finite value at row {flat // n}, column {flat % n}",
-            _HEADER_LEN + 8 * flat,
-        )
-    norms = np.linalg.norm(raw, axis=1)
-    if (norms == 0.0).any():
-        row = int(np.argmax(norms == 0.0))
-        raise ParseError(f"row {row} is all zeros", _HEADER_LEN + 8 * row * n)
-    return PointSet(_apply_unit_policy(raw, str(path)))
+    return _checked_points(raw, str(path), lambda row, col: _HEADER_LEN + 8 * (row * n + col))
 
 
 def save_pointset(ps: PointSet, path) -> None:
@@ -117,43 +141,30 @@ def save_pointset_csv(ps: PointSet, path) -> None:
 
 
 def load_pointset_csv(path) -> PointSet:
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    offsets = []
-    pos = 0
-    for ln in lines:
-        offsets.append(pos)
-        pos += len(ln) + 1
-    content = [(off, ln) for off, ln in zip(offsets, lines) if ln.strip()]
-    if not content or not content[0][1].startswith("dim="):
+    data = Path(path).read_bytes()
+    records = _records(data)
+    head_off, head = next(records, (0, [""]))
+    head = ",".join(head)
+    if not head.startswith("dim="):
         raise ParseError("missing dim=<n> header", 0)
-    head_off, head = content[0]
     try:
         n = int(head[4:])
     except ValueError:
         raise ParseError(f"bad dimension field {head[4:]!r}", head_off + 4) from None
     if n < 2:
         raise ParseError(f"dimension must be at least 2, got {n}", head_off + 4)
-    rows = []
-    for off, ln in content[1:]:
-        parts = ln.split(",")
-        if len(parts) != n:
-            raise ParseError(f"expected {n} fields, got {len(parts)}", off)
+    offsets, rows = [], []
+    for pos, fields in records:
+        if len(fields) != n:
+            raise ParseError(f"expected {n} fields, got {len(fields)}", pos)
         try:
-            rows.append([float(p) for p in parts])
+            rows.append(list(map(float, fields)))
         except ValueError:
-            raise ParseError("unparseable float", off) from None
+            raise ParseError("unparseable float", pos) from None
+        offsets.append(pos)
     if not rows:
-        raise ParseError("no point rows after header", pos)
-    raw = np.array(rows, dtype=np.float64)
-    if not np.isfinite(raw).all():
-        bad = int(np.argmax(~np.isfinite(raw).ravel())) // n
-        raise ParseError(f"non-finite value in row {bad}", content[1 + bad][0])
-    norms = np.linalg.norm(raw, axis=1)
-    if (norms == 0.0).any():
-        row = int(np.argmax(norms == 0.0))
-        raise ParseError(f"row {row} is all zeros", content[1 + row][0])
-    return PointSet(_apply_unit_policy(raw, str(path)))
+        raise ParseError("no point rows after header", len(data))
+    return _checked_points(np.array(rows, dtype=np.float64), str(path), lambda row, col: offsets[row])
 
 
 def save_codes(codes: np.ndarray, path) -> None:
@@ -190,24 +201,16 @@ def _canonical_codes(data: bytes):
     return np.where(plus, 1, -1).astype(np.int8)
 
 
-def _codes_from_text(text: str) -> np.ndarray:
+def _parse_codes(data: bytes) -> np.ndarray:
+    """The codes of any accepted layout; a ParseError names the first bad line."""
     rows = []
-    pos = 0
-    width = None
-    for ln in text.splitlines():
-        if ln.strip():
-            parts = ln.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ParseError(f"expected {width} fields, got {len(parts)}", pos)
-            vals = []
-            for p in parts:
-                if p not in ("+1", "-1", "1"):
-                    raise ParseError(f"expected +1 or -1, got {p!r}", pos)
-                vals.append(1 if p != "-1" else -1)
-            rows.append(vals)
-        pos += len(ln) + 1
+    for pos, fields in _records(data):
+        if rows and len(fields) != len(rows[0]):
+            raise ParseError(f"expected {len(rows[0])} fields, got {len(fields)}", pos)
+        if not _CODE_TOKENS.issuperset(fields):
+            bad = next(p for p in fields if p not in _CODE_TOKENS)
+            raise ParseError(f"expected +1 or -1, got {bad!r}", pos)
+        rows.append([-1 if p == "-1" else 1 for p in fields])
     if not rows:
         raise ParseError("no code rows", 0)
     return np.array(rows, dtype=np.int8)
@@ -217,11 +220,12 @@ def load_codes(path) -> np.ndarray:
     """Codes as an (N, k) int8 matrix of +1/-1.
 
     Files in save_codes' layout are parsed as one array; any other file
-    (hand-written ``1`` entries, blank lines, CRLF, malformed input) goes
-    through the line parser, which reports the offset of the first bad line.
+    (hand-written ``1`` entries, blank lines, CRLF or CR, malformed input) goes
+    through the line parser, which reports the byte offset of the first bad line.
     """
-    codes = _canonical_codes(Path(path).read_bytes())
-    return _codes_from_text(Path(path).read_text()) if codes is None else codes
+    data = Path(path).read_bytes()
+    codes = _canonical_codes(data)
+    return _parse_codes(data) if codes is None else codes
 
 
 def _jsonable(o):
@@ -236,14 +240,6 @@ def _jsonable(o):
 
 _ROWS_MARK = "\x00rows"  # stands in for a row-valued entry while json encodes the rest
 _ROWS_PER_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class _Rows:
-    """A row-valued entry and the indentation of its key in the report."""
-
-    rows: tuple
-    indent: int
 
 
 def _is_rows(value) -> bool:
@@ -264,26 +260,32 @@ def _is_rows(value) -> bool:
         return False
 
 
-def _mark_rows(obj: dict, indent: int) -> dict:
-    """A copy of the dict tree with each row-valued entry wrapped in _Rows."""
+def _mark_rows(obj: dict, indent: int, tables: list) -> dict:
+    """A copy of the dict tree with each row-valued entry replaced by _ROWS_MARK.
+
+    Keys are visited in the order json.dumps(sort_keys=True) writes them, so
+    ``tables`` gets each entry's (rows, indent of its key) in marker order.
+    """
     out = {}
-    for key, value in obj.items():
+    for key in sorted(obj):
+        value = obj[key]
         if isinstance(value, dict):
-            value = _mark_rows(value, indent + 2)
+            value = _mark_rows(value, indent + 2, tables)
         elif _is_rows(value):
-            value = _Rows(value, indent)
+            tables.append((value, indent))
+            value = _ROWS_MARK
         out[key] = value
     return out
 
 
-def _row_chunks(entry: _Rows):
+def _row_chunks(rows: tuple, indent: int):
     """The rows of one entry as json.dumps(indent=2) lays them out, in chunks."""
-    pad = "\n" + " " * entry.indent
-    row = pad + "  [" + ",".join([pad + "    %r"] * len(entry.rows[0])) + pad + "  ]"
+    pad = "\n" + " " * indent
+    row = pad + "  [" + ",".join([pad + "    %r"] * len(rows[0])) + pad + "  ]"
     fmt = row.__mod__
     sep = "["
-    for a in range(0, len(entry.rows), _ROWS_PER_CHUNK):
-        yield sep + ",".join(map(fmt, entry.rows[a : a + _ROWS_PER_CHUNK]))
+    for a in range(0, len(rows), _ROWS_PER_CHUNK):
+        yield sep + ",".join(map(fmt, rows[a : a + _ROWS_PER_CHUNK]))
         sep = ","
     yield pad + "]"
 
@@ -293,29 +295,18 @@ def _report_chunks(payload: dict):
 
     json.dumps writes everything but the row-valued entries, which it sees
     as a marker string; the rows are formatted by _row_chunks and spliced in
-    at the markers, in the order json reached them. json.dumps runs before
-    this returns, so a payload it refuses raises here; the rows are
-    formatted lazily as the chunks are consumed.
+    at the markers. json.dumps runs before this returns, so a payload it
+    refuses raises here; the rows are formatted lazily as the chunks are
+    consumed.
     """
-    entries = []
-
-    def default(o):
-        if isinstance(o, _Rows):
-            entries.append(o)
-            return _ROWS_MARK
-        return _jsonable(o)
-
-    text = json.dumps(_mark_rows(payload, 2), sort_keys=True, indent=2, default=default) + "\n"
-    # json's indenting encoder leaves its closures, and with them ``default``,
-    # in a reference cycle; emptying the list it appended to lets the rows be
-    # freed once written instead of at the next cyclic collection
-    rows, entries[:] = entries[:], []
+    tables = []
+    text = json.dumps(_mark_rows(payload, 2, tables), sort_keys=True, indent=2, default=_jsonable) + "\n"
     parts = text.split(json.dumps(_ROWS_MARK))
-    if len(parts) != len(rows) + 1:
+    if len(parts) != len(tables) + 1:
         raise ValueError(f"report contains the reserved string {_ROWS_MARK!r}")
     pieces = [(parts[0],)]
-    for entry, part in zip(rows, parts[1:]):
-        pieces += [_row_chunks(entry), (part,)]
+    for (rows, indent), part in zip(tables, parts[1:]):
+        pieces += [_row_chunks(rows, indent), (part,)]
     return itertools.chain.from_iterable(pieces)
 
 
@@ -351,7 +342,7 @@ class ResultDocument:
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
+            raise ParseError(f"invalid JSON: {e.msg}", len(text[: e.pos].encode())) from None
         version = payload.get("schema_version")
         if version != "1":
             raise ParseError(f"unsupported schema_version {version!r}", 0)
@@ -375,7 +366,7 @@ def save_result(doc: ResultDocument, path) -> None:
 
 
 def load_result(path) -> ResultDocument:
-    return ResultDocument.from_json(Path(path).read_text())
+    return ResultDocument.from_json(_text(Path(path).read_bytes()))
 
 
 def generate_pointset(kind: str, n: int, N: int, seed: int, params=None) -> PointSet:

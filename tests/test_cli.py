@@ -233,6 +233,41 @@ def test_eval_mismatched_codes_is_usage_error(tmp_path):
     assert run("eval", "--pointset", pts, "--codes", codes) == 2
 
 
+def test_eval_codes_not_utf8_is_io_error(tmp_path, capsys):
+    pts = gen_pointset(tmp_path, N=2)
+    codes = tmp_path / "c.csv"
+    codes.write_bytes(b"+1,-1\n+1,\xff1\n")
+    assert run("eval", "--pointset", pts, "--codes", codes, "--out", tmp_path / "r.json") == 3
+    assert "UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_all_pairs_over_the_cap_is_usage_error_before_any_allocation(tmp_path, monkeypatch, capsys):
+    pts = gen_pointset(tmp_path, n=8, N=16)
+    codes = tmp_path / "c.csv"
+    assert run("embed", "--pointset", pts, "--kind", "gaussian", "--k", 8, "--out", codes) == 0
+    outputs = set(tmp_path.iterdir())
+    commands = [
+        ("eval", "--pointset", pts, "--codes", codes, "--out", tmp_path / "r.json"),
+        ("eval", "--pointset", pts, "--kind", "circulant", "--k", 8, "--out", tmp_path / "r.json"),
+        ("sweep", "--pointset", pts, "--kind", "gaussian", "--k-list", 8, "--delta-list", 0.1,
+         "--trials", 2, "--csv-out", tmp_path / "s.csv", "--json-out", tmp_path / "s.json"),
+    ]
+    # the operators fit under the cap; only the 16 x 16 Gram matrix does not
+    monkeypatch.setattr(embedders, "_MAX_ENTRIES", 16 * 16 - 1)
+    for argv in commands:
+        with monkeypatch.context() as m:
+            m.setattr(np, "triu_indices", lambda *a: pytest.fail("built the pair indices"))
+            assert run(*argv) == 2
+        assert "over the cap of 255" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == outputs
+    # a set exactly at the cap still evaluates
+    monkeypatch.setattr(embedders, "_MAX_ENTRIES", 16 * 16)
+    for argv in commands:
+        assert run(*argv) == 0
+    assert len(load_result(tmp_path / "r.json").arrays["per_pair"]) == 16 * 15 // 2
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_csv_layout_and_determinism(tmp_path):

@@ -13,8 +13,8 @@ from circembed.geometry import angular_distance, coherence
 from circembed.io import (
     ResultDocument,
     _canonical_codes,
-    _codes_from_text,
     _jsonable,
+    _parse_codes,
     generate_pointset,
     load_codes,
     load_pointset,
@@ -164,6 +164,49 @@ def test_csv_unparseable_float(tmp_path):
         load_pointset_csv(p)
 
 
+def _bad_line_offset(lines, bad):
+    """Byte offset of line ``bad`` in the UTF-8 encoding of ``lines``."""
+    return len("".join(lines[:bad]).encode())
+
+
+@pytest.mark.parametrize("nl", ["\n", "\r\n"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.0,nan", "non-finite value at row 1, column 1"),
+        ("-inf,0.0", "non-finite value at row 1, column 0"),
+        ("0.0,0.0", "row 1 is all zeros"),
+        ("foo,0.0", "unparseable float"),
+        ("0.0,1.0,2.0", "expected 2 fields, got 3"),
+    ],
+)
+def test_csv_errors_name_the_byte_offset_of_their_line(tmp_path, nl, row, message):
+    lines = ["dim=2" + nl, nl, "1.0,0.0" + nl, "  " + nl, row + nl, "0.0,1.0" + nl]
+    p = tmp_path / "pts.csv"
+    p.write_bytes("".join(lines).encode())
+    with pytest.raises(ParseError, match=message) as ei:
+        load_pointset_csv(p)
+    assert ei.value.offset == _bad_line_offset(lines, 4)
+
+
+def test_csv_offsets_count_bytes_not_characters(tmp_path):
+    # float() strips the no-break space, which takes two bytes in UTF-8
+    lines = ["dim=2\n", "\u00a01.0,0.0\n", "foo,0.0\n"]
+    p = tmp_path / "pts.csv"
+    p.write_bytes("".join(lines).encode())
+    with pytest.raises(ParseError) as ei:
+        load_pointset_csv(p)
+    assert ei.value.offset == _bad_line_offset(lines, 2) == 16
+
+
+def test_csv_not_utf8_is_parse_error(tmp_path):
+    p = tmp_path / "pts.csv"
+    p.write_bytes(b"dim=2\n1.0,\xff0.0\n")
+    with pytest.raises(ParseError, match="UTF-8") as ei:
+        load_pointset_csv(p)
+    assert ei.value.offset == 10
+
+
 # ---------------------------------------------------------------- codes
 
 def test_codes_round_trip(tmp_path):
@@ -195,7 +238,7 @@ def test_codes_rejects_non_matrix(tmp_path, codes):
 def _line_parse(path):
     """What the line parser makes of a file: the codes, or the error and its offset."""
     try:
-        return _codes_from_text(path.read_text())
+        return _parse_codes(path.read_bytes())
     except ParseError as e:
         return str(e), e.offset
 
@@ -255,6 +298,30 @@ def test_codes_rejects_ragged_rows(tmp_path):
     with pytest.raises(ParseError) as ei:
         load_codes(p)
     assert ei.value.offset == len("+1,-1\n")
+
+
+@pytest.mark.parametrize("nl", ["\n", "\r\n", "\r"])
+def test_codes_errors_name_the_byte_offset_of_their_line(tmp_path, nl):
+    lines = ["+1,-1" + nl, "+1,-1" + nl, nl, "+1,0" + nl]
+    p = tmp_path / "codes.csv"
+    p.write_bytes("".join(lines).encode())
+    with pytest.raises(ParseError, match="got '0'") as ei:
+        load_codes(p)
+    assert ei.value.offset == _bad_line_offset(lines, 3)
+
+
+def test_codes_cr_only_lines_parse(tmp_path):
+    p = tmp_path / "codes.csv"
+    p.write_bytes(b"+1,-1\r-1,1\r\r+1,+1\r")
+    np.testing.assert_array_equal(load_codes(p), [[1, -1], [-1, 1], [1, 1]])
+
+
+def test_codes_not_utf8_is_parse_error(tmp_path):
+    p = tmp_path / "codes.csv"
+    p.write_bytes(b"+1,-1\n+1,\xff1\n")
+    with pytest.raises(ParseError, match="UTF-8") as ei:
+        load_codes(p)
+    assert ei.value.offset == 9
 
 
 # ---------------------------------------------------------------- results
@@ -356,6 +423,21 @@ def test_result_document_rejects_missing_key():
 def test_result_document_rejects_invalid_json():
     with pytest.raises(ParseError):
         ResultDocument.from_json("{nope")
+
+
+def test_load_result_not_utf8_is_parse_error(tmp_path):
+    p = tmp_path / "doc.json"
+    p.write_bytes(b'{"kind": "\xff"}')
+    with pytest.raises(ParseError, match="UTF-8") as ei:
+        load_result(p)
+    assert ei.value.offset == 10
+
+
+def test_result_document_json_error_offset_counts_bytes():
+    text = '{"kind": "\u00e9", nope}'
+    with pytest.raises(ParseError) as ei:
+        ResultDocument.from_json(text)
+    assert ei.value.offset == text.encode().index(b"nope")
 
 
 def test_result_document_coerces_numpy_scalars():
