@@ -11,8 +11,9 @@ the sizes the gate suite runs it. A fourth times the pairwise layer once per
 repeat: coherence of N=1000 points at n=1000 (what gen prints) and of the
 sets its pruning bound helps least (spiky and clustered_pairs at n=N=1000,
 uniform_sphere at n=8, N=2000), evaluate_codes of N=1000 randomized codes
-with k=256 (what eval scores), and save_result of that eval report,
-499,500 per_pair rows (what eval writes). A fifth times the text readers
+with k=256 (what eval scores), save_result of that eval report, with its
+1,000 worst_per_point values (what eval writes), and save_pairs of its
+499,500 pairs (what eval --pairs writes). A fifth times the text readers
 at N=1000: load_codes of a CRLF codes file with k=256, which takes the line
 parser, and load_pointset_csv at n=1000. A sixth times one whole quick gate
 suite with as many trial threads as cores, the default of validate.
@@ -47,6 +48,7 @@ from circembed.io import (
     load_codes,
     load_pointset_csv,
     save_codes,
+    save_pairs,
     save_pointset_csv,
     save_result,
 )
@@ -113,7 +115,7 @@ def build_trial_cases(seed: int):
     ]
 
 
-def build_pairwise_cases(seed: int, out: str):
+def build_pairwise_cases(seed: int, tmp: str):
     ps = generate_pointset("uniform_sphere", 1000, 1000, seed)
     codes = embed_points(sample_operator("randomized", 1000, 256, seed), ps.points)
     report = evaluate_codes(ps, codes, kind="randomized", seed=seed)
@@ -121,7 +123,7 @@ def build_pairwise_cases(seed: int, out: str):
         kind="eval",
         params={"n": ps.n, "N": ps.N, "k": report.k, "seed": seed},
         stats=report.to_stats(),
-        arrays={"per_pair": report.per_pair},
+        arrays={"worst_per_point": report.worst_per_point},
     )
     worst = [generate_pointset(kind, n, N, seed) for kind, n, N in
              (("spiky", 1000, 1000), ("clustered_pairs", 1000, 1000), ("uniform_sphere", 8, 2000))]
@@ -131,7 +133,8 @@ def build_pairwise_cases(seed: int, out: str):
         ("coherence clustered N=n=1000", lambda: coherence(worst[1])),
         ("coherence n=8 N=2000", lambda: coherence(worst[2])),
         ("evaluate_codes k=256", lambda: evaluate_codes(ps, codes)),
-        ("save_result eval N=1000", lambda: save_result(doc, out)),
+        ("save_result eval N=1000", lambda: save_result(doc, os.path.join(tmp, "eval.json"))),
+        ("save_pairs N=1000", lambda: save_pairs(report.pairs, os.path.join(tmp, "pairs.csv"))),
     ]
 
 
@@ -193,7 +196,7 @@ def main() -> int:
             ("one trial of each experiment at gate-suite sizes (threads=1):", build_trial_cases(args.seed),
              args.calls),
             ("pairwise layer, N=1000 points (one call per repeat):",
-             build_pairwise_cases(args.seed, os.path.join(tmp, "eval.json")), 1),
+             build_pairwise_cases(args.seed, tmp), 1),
             ("text readers, N=1000 (one call per repeat):", build_codec_cases(args.seed, tmp), 1),
             ("quick gate suite (one call per repeat):", build_suite_cases(args.seed), 1),
         ):

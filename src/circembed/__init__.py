@@ -41,6 +41,7 @@ from .io import (
     load_pointset_csv,
     load_result,
     save_codes,
+    save_pairs,
     save_pointset,
     save_pointset_csv,
     save_result,

@@ -3,7 +3,9 @@
 Subcommands:
   gen       synthesize a point set and write it as PSET1
   embed     embed a point set, writing a codes CSV plus an operator sidecar
-  eval      all-pairs distortion of codes against angles, JSON report
+  eval      all-pairs distortion of codes against angles: a JSON report of
+            the pair statistics and each point's worst pair, optionally
+            every pair as CSV (--pairs)
   sweep     grid of (k, delta) distortion experiments, CSV plus JSON summary
   validate  frozen Monte Carlo gate suite
   info      numpy, BLAS and FWHT build and BLAS thread count, for bug reports
@@ -40,6 +42,7 @@ from .io import (
     load_codes,
     load_pointset,
     save_codes,
+    save_pairs,
     save_pointset,
     save_result,
 )
@@ -71,13 +74,11 @@ def cmd_gen(args) -> int:
 
 def cmd_embed(args) -> int:
     ps = load_pointset(args.pointset)
-    op = sample_operator(args.kind, ps.n, args.k, args.seed, args.r_dist)
-    # an operator the sidecar cannot describe fails here, before any file is written
-    record = serialize_operator(op)
+    op = sample_operator(args.kind, ps.n, args.k, args.seed)
     codes = embed_points(op, ps.points)
     save_codes(codes, args.out)
     sidecar = args.operator_out or (str(args.out) + ".beop")
-    Path(sidecar).write_bytes(record)
+    Path(sidecar).write_bytes(serialize_operator(op))
     print(f"wrote {args.out} ({codes.shape[0]} codes of length {codes.shape[1]}) and {sidecar}")
     return 0
 
@@ -112,13 +113,16 @@ def cmd_eval(args) -> int:
             "k": report.k,
         },
         stats=report.to_stats(),
-        arrays={"per_pair": report.per_pair},
+        arrays={"worst_per_point": report.worst_per_point},
     )
     if args.out:
         save_result(doc, args.out)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(doc.to_json())
+    if args.pairs:
+        save_pairs(report.pairs, args.pairs)
+        print(f"wrote {args.pairs}", file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
 
@@ -257,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pointset", required=True)
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--k", type=int, required=True, help="code length")
-    p.add_argument("--r-dist", default="gaussian", choices=R_DISTS,
-                   help="distribution of the modulation vector r")
     p.add_argument("--out", required=True, help="codes CSV path")
     p.add_argument("--operator-out", default=None, help="operator sidecar path (default <out>.beop)")
     _add_common(p)
@@ -272,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-dist", default="gaussian", choices=R_DISTS)
     p.add_argument("--delta", type=float, default=0.15, help="distortion target")
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
+    p.add_argument("--pairs", default=None, help="also write every pair as CSV to this path")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="distortion grid over k and delta")

@@ -7,14 +7,18 @@ row-major, little-endian. File length is exactly 21 + 8*N*n bytes.
 CSV point sets: a ``dim=<n>`` header line, then one comma-separated row per
 point with 17 significant digits per value, which round-trips float64.
 
-Reports are JSON documents with sorted keys and ``schema_version`` "1":
-top-level keys are schema_version, kind, params, stats, arrays. ``params``
-echoes everything needed to reproduce the run.
+Reports are ``json.dumps(sort_keys=True, indent=2)`` documents with
+``schema_version`` "2" (readers also take "1"): top-level keys are
+schema_version, kind, params, stats, arrays. ``params`` echoes everything
+needed to reproduce the run.
+
+Pair tables (``eval --pairs``): a ``i,j,hamming,angular,diff`` header, then
+one row per pair with each float written by ``repr``, so ``float()`` reads
+back the exact float64.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import struct
@@ -39,6 +43,7 @@ __all__ = [
     "save_codes",
     "load_result",
     "save_result",
+    "save_pairs",
     "generate_pointset",
 ]
 
@@ -46,6 +51,8 @@ _MAGIC = b"PSET1"
 _HEADER_LEN = 21
 _WARN_TOL = 1e-6  # rows off by more than this additionally warn
 _CODE_TOKENS = frozenset(("+1", "-1", "1"))
+_SCHEMA_VERSIONS = ("1", "2")  # readable; the last is written
+_PAIRS_PER_CHUNK = 65536  # bounds the Python floats alive while a pair table is written
 
 
 def _text(data: bytes) -> str:
@@ -238,78 +245,6 @@ def _jsonable(o):
     raise TypeError(f"not JSON-serializable: {type(o).__name__}")
 
 
-_ROWS_MARK = "\x00rows"  # stands in for a row-valued entry while json encodes the rest
-_ROWS_PER_CHUNK = 4096
-
-
-def _is_rows(value) -> bool:
-    """True for a nonempty tuple of equal-length tuples of exact ints and finite floats.
-
-    For these items ``%r`` writes exactly what json writes (``int.__repr__``
-    and ``float.__repr__``); bool, NaN, inf and numpy scalars do not qualify.
-    """
-    if type(value) is not tuple or not value or set(map(type, value)) != {tuple}:
-        return False
-    if len(set(map(len, value))) != 1 or not value[0]:
-        return False
-    if not set(map(type, itertools.chain.from_iterable(value))) <= {int, float}:
-        return False
-    try:
-        return all(map(math.isfinite, itertools.chain.from_iterable(value)))
-    except OverflowError:  # an int beyond the float range; json writes it exactly
-        return False
-
-
-def _mark_rows(obj: dict, indent: int, tables: list) -> dict:
-    """A copy of the dict tree with each row-valued entry replaced by _ROWS_MARK.
-
-    Keys are visited in the order json.dumps(sort_keys=True) writes them, so
-    ``tables`` gets each entry's (rows, indent of its key) in marker order.
-    """
-    out = {}
-    for key in sorted(obj):
-        value = obj[key]
-        if isinstance(value, dict):
-            value = _mark_rows(value, indent + 2, tables)
-        elif _is_rows(value):
-            tables.append((value, indent))
-            value = _ROWS_MARK
-        out[key] = value
-    return out
-
-
-def _row_chunks(rows: tuple, indent: int):
-    """The rows of one entry as json.dumps(indent=2) lays them out, in chunks."""
-    pad = "\n" + " " * indent
-    row = pad + "  [" + ",".join([pad + "    %r"] * len(rows[0])) + pad + "  ]"
-    fmt = row.__mod__
-    sep = "["
-    for a in range(0, len(rows), _ROWS_PER_CHUNK):
-        yield sep + ",".join(map(fmt, rows[a : a + _ROWS_PER_CHUNK]))
-        sep = ","
-    yield pad + "]"
-
-
-def _report_chunks(payload: dict):
-    """Text chunks that join to json.dumps(payload, sort_keys=True, indent=2) + "\\n".
-
-    json.dumps writes everything but the row-valued entries, which it sees
-    as a marker string; the rows are formatted by _row_chunks and spliced in
-    at the markers. json.dumps runs before this returns, so a payload it
-    refuses raises here; the rows are formatted lazily as the chunks are
-    consumed.
-    """
-    tables = []
-    text = json.dumps(_mark_rows(payload, 2, tables), sort_keys=True, indent=2, default=_jsonable) + "\n"
-    parts = text.split(json.dumps(_ROWS_MARK))
-    if len(parts) != len(tables) + 1:
-        raise ValueError(f"report contains the reserved string {_ROWS_MARK!r}")
-    pieces = [(parts[0],)]
-    for (rows, indent), part in zip(tables, parts[1:]):
-        pieces += [_row_chunks(rows, indent), (part,)]
-    return itertools.chain.from_iterable(pieces)
-
-
 @dataclass
 class ResultDocument:
     """One experiment result: parameter echo plus statistics.
@@ -322,9 +257,9 @@ class ResultDocument:
     params: dict
     stats: dict
     arrays: dict = field(default_factory=dict)
-    schema_version: str = "1"
+    schema_version: str = _SCHEMA_VERSIONS[-1]
 
-    def _chunks(self):
+    def to_json(self) -> str:
         payload = {
             "schema_version": self.schema_version,
             "kind": self.kind,
@@ -332,10 +267,7 @@ class ResultDocument:
             "stats": self.stats,
             "arrays": self.arrays,
         }
-        return _report_chunks(payload)
-
-    def to_json(self) -> str:
-        return "".join(self._chunks())
+        return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ResultDocument":
@@ -344,7 +276,7 @@ class ResultDocument:
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e.msg}", len(text[: e.pos].encode())) from None
         version = payload.get("schema_version")
-        if version != "1":
+        if version not in _SCHEMA_VERSIONS:
             raise ParseError(f"unsupported schema_version {version!r}", 0)
         for key in ("kind", "params", "stats"):
             if key not in payload:
@@ -354,15 +286,22 @@ class ResultDocument:
             params=payload["params"],
             stats=payload["stats"],
             arrays=payload.get("arrays", {}),
-            schema_version="1",
+            schema_version=version,
         )
 
 
 def save_result(doc: ResultDocument, path) -> None:
-    """Stream the report to path; the bytes equal those of ``doc.to_json()``."""
-    chunks = doc._chunks()  # raises before the file is opened if json refuses the report
+    """Write ``doc.to_json()`` to path; a report json refuses leaves no file."""
+    Path(path).write_text(doc.to_json())
+
+
+def save_pairs(pairs, path) -> None:
+    """Write the pair columns (i, j, hamming, angular, diff) as a CSV pair table."""
     with open(path, "w") as f:
-        f.writelines(chunks)
+        f.write("i,j,hamming,angular,diff\n")
+        for a in range(0, len(pairs[0]), _PAIRS_PER_CHUNK):
+            rows = zip(*(column[a : a + _PAIRS_PER_CHUNK].tolist() for column in pairs))
+            f.writelines(map("%d,%d,%r,%r,%r\n".__mod__, rows))
 
 
 def load_result(path) -> ResultDocument:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .transforms import _shift_rows
 __all__ = [
     "ConditionCheck",
     "DistortionReport",
+    "PairColumns",
     "ConditioningReport",
     "ModulationReport",
     "DecompositionReport",
@@ -134,6 +135,16 @@ def check_condition1(n, k, N, delta, rho_cross, c1=1.0, c2=1.0, c3=1.0) -> Condi
 # distortion
 
 
+class PairColumns(NamedTuple):
+    """Every pair of one evaluation as numpy columns, in ``np.triu_indices`` order."""
+
+    i: np.ndarray
+    j: np.ndarray
+    hamming: np.ndarray
+    angular: np.ndarray
+    diff: np.ndarray  # |hamming - angular|
+
+
 @dataclass(frozen=True)
 class DistortionReport:
     kind: str
@@ -148,14 +159,20 @@ class DistortionReport:
     success_fraction: float
     per_trial_max: tuple
     per_trial_mean: tuple
-    per_pair: Optional[tuple] = None  # (i, j, hamming, angular, diff); set by evaluate_codes only
+    # set by evaluate_codes only
+    pairs: Optional[PairColumns] = None
+    worst_per_point: Optional[np.ndarray] = None  # each point's largest diff over its pairs
+    point_success_fraction: Optional[float] = None  # share of points whose worst pair is <= delta_target
 
     def to_stats(self) -> dict:
-        return {
+        stats = {
             "max_distortion": self.max_distortion,
             "mean_distortion": self.mean_distortion,
             "success_fraction": self.success_fraction,
         }
+        if self.point_success_fraction is not None:
+            stats["point_success_fraction"] = self.point_success_fraction
+        return stats
 
 
 def _max_mean(diff: np.ndarray) -> tuple:
@@ -165,7 +182,7 @@ def _max_mean(diff: np.ndarray) -> tuple:
     return float(diff.max()), float(diff.mean())
 
 
-def _distortion_report(ps: PointSet, kind: str, k: int, seed: int, delta_target: float, rows, per_pair=None) -> DistortionReport:
+def _distortion_report(ps: PointSet, kind: str, k: int, seed: int, delta_target: float, rows, **pointwise) -> DistortionReport:
     # rows holds one (max, mean) pair per trial
     per_max, per_mean = zip(*rows)
     return DistortionReport(
@@ -181,7 +198,7 @@ def _distortion_report(ps: PointSet, kind: str, k: int, seed: int, delta_target:
         success_fraction=sum(1 for m in per_max if m <= delta_target) / len(rows),
         per_trial_max=per_max,
         per_trial_mean=per_mean,
-        per_pair=per_pair,
+        **pointwise,
     )
 
 
@@ -215,7 +232,12 @@ def distortion_experiment(
 
 @_blas.one_thread()
 def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, kind: str = "codes", seed: int = 0) -> DistortionReport:
-    """Distortion of precomputed codes against a point set (single trial)."""
+    """Distortion of precomputed codes against a point set (single trial).
+
+    Besides the pair statistics, the report keeps every pair as columns and
+    each point's worst distortion, the quantity of the paper's per-point
+    claim (0.0 for a point with no pairs).
+    """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[0] != ps.N:
         raise ValueError(
@@ -224,8 +246,15 @@ def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, 
     iu, ang = _angular_pairs(ps.points)
     ham = _hamming_pairs(codes, iu)
     diff = np.abs(ham - ang)
-    per_pair = tuple(zip(iu[0].tolist(), iu[1].tolist(), ham.tolist(), ang.tolist(), diff.tolist()))
-    return _distortion_report(ps, kind, codes.shape[1], seed, delta_target, [_max_mean(diff)], per_pair)
+    worst = np.zeros(ps.N)
+    np.maximum.at(worst, iu[0], diff)
+    np.maximum.at(worst, iu[1], diff)
+    return _distortion_report(
+        ps, kind, codes.shape[1], seed, delta_target, [_max_mean(diff)],
+        pairs=PairColumns(iu[0], iu[1], ham, ang, diff),
+        worst_per_point=worst,
+        point_success_fraction=int(np.count_nonzero(worst <= delta_target)) / ps.N,
+    )
 
 
 def sweep(

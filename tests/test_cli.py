@@ -10,6 +10,7 @@ import pytest
 
 from circembed import _blas, embedders, rng
 from circembed.cli import main
+from circembed.geometry import _angular_pairs, _hamming_pairs
 from circembed.io import load_codes, load_pointset, load_result
 
 
@@ -193,14 +194,17 @@ def test_eval_roundtrip_with_codes(tmp_path):
     assert run("embed", "--pointset", pts, "--kind", "randomized", "--k", 16,
                "--seed", 2, "--out", codes) == 0
     report = tmp_path / "report.json"
+    pairs = tmp_path / "pairs.csv"
     assert run("eval", "--pointset", pts, "--codes", codes,
-               "--operator", f"{codes}.beop", "--out", report) == 0
+               "--operator", f"{codes}.beop", "--out", report, "--pairs", pairs) == 0
     doc = load_result(report)
     assert doc.kind == "eval"
     assert doc.params["operator_kind"] == "RandomizedOperator"
     assert doc.params["N"] == 6
-    assert len(doc.arrays["per_pair"]) == 15
+    assert len(doc.arrays["worst_per_point"]) == 6
+    assert len(pairs.read_text().splitlines()) == 1 + 15
     assert 0.0 <= doc.stats["max_distortion"] <= 1.0
+    assert 0.0 <= doc.stats["point_success_fraction"] <= 1.0
 
 
 def test_eval_sampling_path_prints_json(tmp_path, capsys):
@@ -210,13 +214,38 @@ def test_eval_sampling_path_prints_json(tmp_path, capsys):
                "--seed", 5) == 0
     printed = capsys.readouterr().out
     payload = json.loads(printed)
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["params"]["kind"] == "gaussian"
-    # the streamed report file holds exactly the printed bytes
+    # the report file holds exactly the printed bytes
     report = tmp_path / "report.json"
     assert run("eval", "--pointset", pts, "--kind", "gaussian", "--k", 8,
                "--seed", 5, "--out", report) == 0
     assert report.read_bytes() == printed.encode()
+    capsys.readouterr()
+    # with the report on stdout, the --pairs status line goes to stderr
+    assert run("eval", "--pointset", pts, "--kind", "gaussian", "--k", 8,
+               "--seed", 5, "--pairs", tmp_path / "pairs.csv") == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_eval_pairs_file_holds_the_exact_pair_values(tmp_path):
+    pts = gen_pointset(tmp_path, N=7)
+    codes = tmp_path / "c.csv"
+    assert run("embed", "--pointset", pts, "--kind", "circulant", "--k", 16, "--out", codes) == 0
+    pairs = tmp_path / "pairs.csv"
+    assert run("eval", "--pointset", pts, "--codes", codes, "--out", tmp_path / "r.json",
+               "--pairs", pairs) == 0
+    header, *lines = pairs.read_text().splitlines()
+    assert header == "i,j,hamming,angular,diff"
+    rows = [line.split(",") for line in lines]
+    iu, ang = _angular_pairs(load_pointset(pts).points)
+    ham = _hamming_pairs(load_codes(codes), iu)
+    assert [(int(r[0]), int(r[1])) for r in rows] == list(zip(iu[0].tolist(), iu[1].tolist()))
+    for column, expected in ((2, ham), (3, ang), (4, np.abs(ham - ang))):
+        got = np.array([float(r[column]) for r in rows])
+        assert got.tobytes() == expected.tobytes()
+    # the report itself carries no pair table
+    assert set(load_result(tmp_path / "r.json").arrays) == {"worst_per_point"}
 
 
 def test_eval_without_codes_or_kind_is_usage_error(tmp_path):
@@ -248,8 +277,10 @@ def test_all_pairs_over_the_cap_is_usage_error_before_any_allocation(tmp_path, m
     assert run("embed", "--pointset", pts, "--kind", "gaussian", "--k", 8, "--out", codes) == 0
     outputs = set(tmp_path.iterdir())
     commands = [
-        ("eval", "--pointset", pts, "--codes", codes, "--out", tmp_path / "r.json"),
-        ("eval", "--pointset", pts, "--kind", "circulant", "--k", 8, "--out", tmp_path / "r.json"),
+        ("eval", "--pointset", pts, "--codes", codes, "--out", tmp_path / "r.json",
+         "--pairs", tmp_path / "p.csv"),
+        ("eval", "--pointset", pts, "--kind", "circulant", "--k", 8, "--out", tmp_path / "r.json",
+         "--pairs", tmp_path / "p.csv"),
         ("sweep", "--pointset", pts, "--kind", "gaussian", "--k-list", 8, "--delta-list", 0.1,
          "--trials", 2, "--csv-out", tmp_path / "s.csv", "--json-out", tmp_path / "s.json"),
     ]
@@ -265,7 +296,8 @@ def test_all_pairs_over_the_cap_is_usage_error_before_any_allocation(tmp_path, m
     monkeypatch.setattr(embedders, "_MAX_ENTRIES", 16 * 16)
     for argv in commands:
         assert run(*argv) == 0
-    assert len(load_result(tmp_path / "r.json").arrays["per_pair"]) == 16 * 15 // 2
+    assert len(load_result(tmp_path / "r.json").arrays["worst_per_point"]) == 16
+    assert len((tmp_path / "p.csv").read_text().splitlines()) == 1 + 16 * 15 // 2
 
 
 # ---------------------------------------------------------------- sweep

@@ -1,13 +1,12 @@
-import gc
 import json
 import math
 import struct
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from circembed import io as circembed_io
 from circembed.errors import ParseError
 from circembed.geometry import angular_distance, coherence
 from circembed.io import (
@@ -21,6 +20,7 @@ from circembed.io import (
     load_pointset_csv,
     load_result,
     save_codes,
+    save_pairs,
     save_pointset,
     save_pointset_csv,
     save_result,
@@ -331,13 +331,13 @@ def test_result_document_round_trip(tmp_path):
         kind="eval",
         params={"n": 8, "seed": 3, "delta": 0.15},
         stats={"max_distortion": 0.01},
-        arrays={"per_pair": [0.1, 0.2]},
+        arrays={"worst_per_point": [0.1, 0.2]},
     )
     p = tmp_path / "doc.json"
     save_result(doc, p)
     text = p.read_text()
     assert text.endswith("\n")
-    assert json.loads(text)["schema_version"] == "1"
+    assert json.loads(text)["schema_version"] == "2"
     # keys are sorted for byte-stable output
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
     back = load_result(p)
@@ -347,6 +347,8 @@ def test_result_document_round_trip(tmp_path):
 _BIG = 2**53 + 1  # not exactly representable as a float
 
 
+# payload shapes a report may hold: tuples of rows, huge ints, bool, NaN,
+# inf, ragged and empty tables, nested dicts and numpy values
 @pytest.mark.parametrize(
     "arrays",
     [
@@ -367,7 +369,7 @@ def test_result_writer_matches_json_dumps(tmp_path, arrays):
         kind="eval", params={"n": 8, "k": np.int64(4)}, stats={"m": 0.5, "rows": ((1, 2.0),)}, arrays=arrays
     )
     payload = {
-        "schema_version": "1",
+        "schema_version": "2",
         "kind": doc.kind,
         "params": doc.params,
         "stats": doc.stats,
@@ -386,32 +388,42 @@ def test_result_writer_refuses_before_writing(tmp_path):
     with pytest.raises(TypeError):
         save_result(bad, p)
     assert not p.exists()
-    # a document string equal to the internal row marker cannot be spliced
-    clash = ResultDocument(kind="\x00rows", params={}, stats={}, arrays={"per_pair": ((0, 1, 0.5),)})
-    with pytest.raises(ValueError, match="reserved"):
-        save_result(clash, p)
-    assert not p.exists()
 
 
-def test_result_writer_frees_rows_without_a_cyclic_collection(tmp_path):
-    # a row table held until the next collection coexists with the next
-    # report's table; at N=1000 that is about 50 MB of peak memory
-    rows = tuple((i, i + 1, 0.25) for i in range(100))
-    doc = ResultDocument(kind="eval", params={}, stats={}, arrays={"per_pair": rows})
-    gc.disable()
-    try:
-        before = sys.getrefcount(rows)
-        save_result(doc, tmp_path / "doc.json")
-        doc.to_json()
-        assert sys.getrefcount(rows) == before
-    finally:
-        gc.enable()
+def test_pair_table_rows_are_repr_values_across_chunks(tmp_path, monkeypatch):
+    i = np.array([0, 0, 1, 2, 3])
+    j = i + 1
+    ham = np.array([0.0, 0.5, 1.0, 0.125, 1 / 3])
+    ang = np.array([5e-324, 0.1, 1.0, 1e-300, 0.3333333333333333])
+    pairs = (i, j, ham, ang, np.abs(ham - ang))
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    save_pairs(pairs, whole)
+    monkeypatch.setattr(circembed_io, "_PAIRS_PER_CHUNK", 2)
+    save_pairs(pairs, chunked)
+    assert chunked.read_bytes() == whole.read_bytes()
+    header, *rows = whole.read_text().splitlines()
+    assert header == "i,j,hamming,angular,diff"
+    assert rows == [",".join([str(a), str(b)] + [repr(float(v)) for v in vals])
+                    for a, b, *vals in zip(i.tolist(), j.tolist(), *(c.tolist() for c in pairs[2:]))]
+    save_pairs(tuple(c[:0] for c in pairs), whole)  # N = 1: a header and no rows
+    assert whole.read_text() == "i,j,hamming,angular,diff\n"
 
 
 def test_result_document_rejects_wrong_version():
-    text = json.dumps({"schema_version": "2", "kind": "x", "params": {}, "stats": {}})
+    text = json.dumps({"schema_version": "3", "kind": "x", "params": {}, "stats": {}})
     with pytest.raises(ParseError):
         ResultDocument.from_json(text)
+
+
+def test_result_document_reads_schema_version_1(tmp_path):
+    # an eval report as versions before "2" wrote it, with its per-pair table
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps({"schema_version": "1", "kind": "eval", "params": {"N": 2},
+                             "stats": {"max_distortion": 0.25},
+                             "arrays": {"per_pair": [[0, 1, 0.5, 0.25, 0.25]]}}, sort_keys=True, indent=2))
+    doc = load_result(p)
+    assert (doc.schema_version, doc.kind, doc.stats) == ("1", "eval", {"max_distortion": 0.25})
+    assert doc.arrays["per_pair"] == [[0, 1, 0.5, 0.25, 0.25]]
 
 
 def test_result_document_rejects_missing_key():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circembed.embedders import embed_points, sample_operator
-from circembed.geometry import PointSet, coherence
+from circembed.geometry import PointSet, angular_distance, coherence, hamming_normalized
 from circembed.io import generate_pointset
 from circembed.rng import Stream, derive_seed
 from circembed.transforms import _shift_rows, fwht, hadamard_matrix
@@ -84,7 +84,8 @@ def test_distortion_duplicate_and_antipodal_pairs_are_exact():
         (np.stack([v, -v]), (0, 1, 1.0, 1.0, 0.0)),
     ):
         ps = PointSet(points=points)
-        assert evaluate_codes(ps, embed_points(op, points)).per_pair == (pair,)
+        pairs = evaluate_codes(ps, embed_points(op, points)).pairs
+        assert [tuple(column.tolist()) for column in pairs] == [(v,) for v in pair]
         assert distortion_experiment(ps, "gaussian", 64, 1, 0).max_distortion == 0.0
 
 
@@ -117,11 +118,56 @@ def test_evaluate_codes_reports_per_pair():
     codes = Stream(0, "codes").rademacher(6 * 16).reshape(6, 16).astype(np.int8)
     rep = evaluate_codes(ps, codes)
     assert rep.trials == 1
-    assert len(rep.per_pair) == 15
-    for i, j, ham, ang, diff in rep.per_pair:
+    assert all(len(column) == 15 for column in rep.pairs)
+    for i, j, ham, ang, diff in zip(*(column.tolist() for column in rep.pairs)):
         assert i < j
         assert 0.0 <= ham <= 1.0 and 0.0 <= ang <= 1.0 and 0.0 <= diff <= 1.0
-        assert diff == pytest.approx(abs(ham - ang))
+        assert diff == abs(ham - ang)
+
+
+def _point_reference(ps, codes, delta):
+    """Each point's worst |hamming - angular| by a loop over all other points."""
+    worst = []
+    for a in range(ps.N):
+        gaps = [abs(hamming_normalized(codes[a], codes[b]) - angular_distance(ps.points[a], ps.points[b]))
+                for b in range(ps.N) if b != a]
+        worst.append(max(gaps, default=0.0))
+    return worst, sum(w <= delta for w in worst) / ps.N
+
+
+@pytest.mark.parametrize("case", ["single", "duplicate", "antipodal", "tie", "uniform"])
+def test_evaluate_codes_worst_per_point_matches_loop(case):
+    e = np.eye(4)
+    v = (e[0] + e[1]) / math.sqrt(2.0)
+    points = {
+        "single": e[:1],
+        "duplicate": np.stack([e[0], e[0], e[1]]),
+        "antipodal": np.stack([e[0], -e[0], v]),
+        # point 0 sits at angle 0.5 from both 1 and 2 with identical codes for
+        # 1 and 2, so its worst gap is reached by two pairs
+        "tie": np.stack([e[0], e[1], e[1], -v]),
+        "uniform": generate_pointset("uniform_sphere", 16, 9, 4).points,
+    }[case]
+    ps = PointSet(points=points)
+    codes = embed_points(sample_operator("gaussian", 4 if case != "uniform" else 16, 8, 3), points)
+    for delta in (0.0, 0.1, 0.3):
+        rep = evaluate_codes(ps, codes, delta_target=delta)
+        worst, fraction = _point_reference(ps, codes, delta)
+        assert rep.worst_per_point.tolist() == pytest.approx(worst, abs=1e-15)
+        assert rep.point_success_fraction == fraction
+        assert rep.to_stats()["point_success_fraction"] == fraction
+        # the worst pair of the set is the worst point's worst pair
+        assert rep.worst_per_point.max() == rep.max_distortion
+    if case == "tie":
+        i, j, diff = rep.pairs.i, rep.pairs.j, rep.pairs.diff
+        assert np.count_nonzero(((i == 0) | (j == 0)) & (diff == rep.worst_per_point[0])) >= 2
+
+
+def test_distortion_experiment_reports_no_pointwise_fields():
+    ps = generate_pointset("uniform_sphere", 16, 4, 0)
+    rep = distortion_experiment(ps, "gaussian", 8, 2, 0)
+    assert rep.pairs is None and rep.worst_per_point is None and rep.point_success_fraction is None
+    assert "point_success_fraction" not in rep.to_stats()
 
 
 def test_evaluate_codes_rejects_shape_mismatch():
