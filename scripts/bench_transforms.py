@@ -7,8 +7,9 @@ should stay close to 2.0; the 2.5 acceptance line leaves headroom for FFT
 log factors and cache effects. A second table times the batched paths at
 fixed sizes: embed_points of N=1000 points at n=1024, k=256 for each kind.
 A third times one trial of each Monte Carlo experiment, single-threaded, at
-the sizes the gate suite runs it. A fourth times the pairwise layer once per
-repeat: coherence of N=1000 points at n=1000 (what gen prints) and of the
+the sizes the gate suite runs it, decomposition at each of its k and on
+the degenerate pair y = x, which takes the Gram-Schmidt fallback. A
+fourth times the pairwise layer once per repeat: coherence of N=1000 points at n=1000 (what gen prints) and of the
 sets its pruning bound helps least (spiky and clustered_pairs at n=N=1000,
 uniform_sphere at n=8, N=2000), evaluate_codes of N=1000 randomized codes
 with k=256 (what eval scores), save_result of that eval report, with its
@@ -100,8 +101,9 @@ def build_batched_cases(seed: int):
 
 
 def build_trial_cases(seed: int):
-    # the inputs of run_gate_suite; conditioning and decomposition at the
-    # largest k it uses
+    # the inputs of run_gate_suite; conditioning at the largest k it uses,
+    # decomposition at each k it uses and on a degenerate pair (y is x),
+    # which takes the Gram-Schmidt fallback
     flat = generate_pointset("flat_signs", 1024, 32, seed)
     ups = generate_pointset("uniform_sphere", 1024, 1000, seed)
     x = np.ones(256) / 16.0
@@ -111,7 +113,10 @@ def build_trial_cases(seed: int):
         ("distortion randomized", lambda: distortion_experiment(flat, "randomized", 1024, 1, seed)),
         ("conditioning k=128", lambda: conditioning_experiment(x, y, 128, 1, seed)),
         ("modulation", lambda: hadamard_coherence_experiment(ups, 1, seed)),
+        ("decomposition k=8", lambda: decomposition_experiment(x, y, 8, 0.15, 1, seed)),
+        ("decomposition k=32", lambda: decomposition_experiment(x, y, 32, 0.15, 1, seed)),
         ("decomposition k=128", lambda: decomposition_experiment(x, y, 128, 0.15, 1, seed)),
+        ("decomposition k=8 y is x", lambda: decomposition_experiment(x, x, 8, 0.15, 1, seed)),
     ]
 
 

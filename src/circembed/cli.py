@@ -7,7 +7,7 @@ Subcommands:
             the pair statistics and each point's worst pair, optionally
             every pair as CSV (--pairs)
   sweep     grid of (k, delta) distortion experiments, CSV plus JSON summary
-  validate  frozen Monte Carlo gate suite
+  validate  frozen Monte Carlo gate suite; each gate's wall time goes to stderr
   info      numpy, BLAS and FWHT build and BLAS thread count, for bug reports
 
 Exit codes: 0 on success (and when all gates pass), 1 when gates fail,
@@ -188,6 +188,8 @@ def cmd_validate(args) -> int:
         verdict = "PASS" if g.passed else "FAIL"
         extra = f"  [{g.detail}]" if g.detail else ""
         print(f"GATE {g.name}: measured={g.measured:.6g} {g.op} {g.threshold:.6g} {verdict}{extra}")
+        # timings vary from run to run, so they stay out of stdout and gates.json
+        print(f"time {g.name}: {g.seconds:.3f} s", file=sys.stderr)
         all_pass &= g.passed
     if args.json_out:
         doc = ResultDocument(

@@ -46,13 +46,15 @@ class PointSet:
             raise ValueError(f"need N >= 1 and n >= 2, got N={N}, n={n}")
         if not np.isfinite(p).all():
             raise ValueError("points contain NaN or Inf")
-        norms = np.linalg.norm(p, axis=1)
-        off = np.abs(norms - 1.0)
-        if off.max() > _UNIT_ATOL:
-            i = int(np.argmax(off))
-            raise ValueError(
-                f"row {i} has norm {norms[i]!r}; rows must be unit within 1e-9"
-            )
+        _require_unit(np.linalg.norm(p, axis=1), np.arange(N))
+
+    @classmethod
+    def _checked(cls, points: np.ndarray) -> "PointSet":
+        """A PointSet of a float64 N x n array whose rows the caller has
+        already checked: N >= 1, n >= 2, finite and unit within 1e-9."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "points", points)
+        return ps
 
     @property
     def N(self) -> int:
@@ -61,6 +63,14 @@ class PointSet:
     @property
     def n(self) -> int:
         return self.points.shape[1]
+
+
+def _require_unit(norms: np.ndarray, rows: np.ndarray) -> None:
+    """Refuse norms more than 1e-9 from 1; ``rows[i]`` is the row number of ``norms[i]``."""
+    off = np.abs(norms - 1.0)
+    if off.max() > _UNIT_ATOL:
+        i = int(np.argmax(off))
+        raise ValueError(f"row {rows[i]} has norm {norms[i]!r}; rows must be unit within 1e-9")
 
 
 @dataclass(frozen=True)

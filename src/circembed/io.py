@@ -30,7 +30,7 @@ import numpy as np
 
 from . import embedders
 from .errors import ParseError
-from .geometry import _UNIT_ATOL, PointSet
+from .geometry import _UNIT_ATOL, PointSet, _require_unit
 from .rng import Rng
 
 __all__ = [
@@ -90,17 +90,21 @@ def _apply_unit_policy(raw: np.ndarray, norms: np.ndarray, origin: str) -> np.nd
             f"{origin}: {n_bad} rows deviate from unit norm by up to {worst:.3g}; renormalizing",
             stacklevel=4,
         )
-    fix = off > _UNIT_ATOL
-    if fix.any():
+    fix = np.flatnonzero(off > _UNIT_ATOL)
+    if fix.size:
         raw = raw.copy()
         raw[fix] /= norms[fix, None]
+        # rows near the ends of the float64 range can miss unit norm even so
+        _require_unit(np.linalg.norm(raw[fix], axis=1), fix)
     return raw
 
 
 def _checked_points(raw: np.ndarray, origin: str, offset_of) -> PointSet:
     """The rows of a loaded file as a PointSet, refusing non-finite entries and zero rows.
 
-    ``offset_of(row, column)`` is the byte offset an error at that entry reports.
+    ``offset_of(row, column)`` is the byte offset an error at that entry
+    reports. These checks and the unit policy establish the PointSet
+    invariants, so the set is built without checking its rows again.
     """
     bad = ~np.isfinite(raw)
     if bad.any():
@@ -110,7 +114,7 @@ def _checked_points(raw: np.ndarray, origin: str, offset_of) -> PointSet:
     if (norms == 0.0).any():
         row = int(np.argmax(norms == 0.0))
         raise ParseError(f"row {row} is all zeros", offset_of(row, 0))
-    return PointSet(_apply_unit_policy(raw, norms, origin))
+    return PointSet._checked(_apply_unit_policy(raw, norms, origin))
 
 
 def load_pointset(path) -> PointSet:

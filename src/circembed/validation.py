@@ -17,8 +17,9 @@ on the BLAS thread count, and the trial threads own the cores.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -489,12 +490,21 @@ class DecompositionReport:
 def decomposition_sample(x, y, r, S):
     """Projection norms for one draw of (r, S).
 
-    Columns arrive in interleaved pair order (X_1, Y_1, X_2, Y_2, ...). For
-    pair i, both X_i and Y_i are projected onto the span of the strictly
+    Columns arrive in interleaved pair order C = (X_0, Y_0, X_1, Y_1, ...).
+    For pair i, both X_i and Y_i are projected onto the span of the strictly
     previous pairs {X_j, Y_j : j < i}; those projections are the columns of
-    P. The basis then grows by X_i and Y_i in that order (modified
-    Gram-Schmidt with one re-orthogonalization pass). Columns that lie in
-    the running span are flagged degenerate and skipped as basis vectors.
+    P. With C^T = QR (one Householder QR, Golub & Van Loan, Matrix
+    Computations, 5.2), X_i's projection is Q[:, :2i] R[:2i, 2i] and Y_i's
+    is Q[:, :2i] R[:2i, 2i+1]. Q has orthonormal columns, so P's column
+    norms and spectral norm are those of U, R's strict upper triangle with
+    each entry (2i, 2i+1) zeroed: a 2k x 2k matrix in place of the n-row P.
+
+    A draw is degenerate when a column lies in the span of the columns
+    before it, |R_jj| < 1e-12 * max(1, |c_j|). Householder's Q_j is then a
+    rounding direction that later columns' new content gets split across,
+    so such draws, and draws with 2k > n, take ``_decomposition_loop``,
+    which skips those columns as basis vectors. On other draws the two
+    agree to about 1e-15 relative.
 
     Returns (max column norm of P, spectral norm of P, degenerate flag).
     """
@@ -502,10 +512,29 @@ def decomposition_sample(x, y, r, S):
     yv = np.asarray(y, dtype=np.float64)
     rv = np.asarray(r, dtype=np.float64)
     Sv = np.asarray(S, dtype=np.int64)
-    n = xv.size
-    k = Sv.size
     X = _shift_rows(rv * xv, Sv)
     Y = _shift_rows(rv * yv, Sv)
+    k = Sv.size
+    C = np.empty((2 * k, xv.size))
+    C[0::2] = X
+    C[1::2] = Y
+    R = np.linalg.qr(C.T, mode="r")
+    spans = np.abs(np.diagonal(R))
+    if spans.size < 2 * k or (spans < _SPAN_TOL * np.maximum(1.0, np.linalg.norm(C, axis=1))).any():
+        return _decomposition_loop(X, Y)
+    U = np.triu(R, 1)
+    U[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 0.0
+    return float(np.linalg.norm(U, axis=0).max()), float(np.linalg.norm(U, 2)), False
+
+
+def _decomposition_loop(X: np.ndarray, Y: np.ndarray):
+    """``decomposition_sample`` by modified Gram-Schmidt over the shift rows X and Y.
+
+    The basis grows by X_i and then Y_i after pair i is projected, with one
+    re-orthogonalization pass; a column whose residual falls below the span
+    tolerance flags the draw degenerate and is skipped as a basis vector.
+    """
+    k, n = X.shape
     Q = np.zeros((2 * k, n))
     q_count = 0
     P_cols = np.zeros((2 * k, n))  # rows: p_1..p_k then p'_1..p'_k
@@ -574,6 +603,9 @@ class GateResult:
     op: str  # ">=" or "<="
     passed: bool
     detail: str = ""
+    # wall time since the previous gate (or the suite's start), so a gate
+    # read off an earlier gate's experiment takes about 0; not compared
+    seconds: float = field(default=0.0, compare=False)
 
 
 def _gate(name: str, measured: float, op: str, threshold: float, detail: str = "") -> GateResult:
@@ -598,6 +630,14 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
     from .io import generate_pointset
 
     results = []
+    last = time.perf_counter()
+
+    def record(gate: GateResult) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        results.append(replace(gate, seconds=now - last))
+        last = now
+
     dist_trials = 10 if quick else 50
     cond_trials = 50 if quick else 200
     mod_trials = 30 if quick else 100
@@ -609,7 +649,7 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
             ps, kind, 1024, dist_trials, derive_seed(seed, f"gate:distortion:{kind}"),
             delta_target=0.15, threads=threads,
         )
-        results.append(
+        record(
             _gate(
                 f"distortion_{kind}_success", rep.success_fraction, ">=", thresh,
                 detail=f"n=1024 N=32 k=1024 delta=0.15 trials={dist_trials}",
@@ -627,7 +667,7 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
         )
         medians.append(rep.median)
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
-    results.append(
+    record(
         _gate(
             "conditioning_median_growth", max(ratios), "<=", 6.0,
             detail=f"medians={['%.4g' % m for m in medians]} per 4x step in k",
@@ -639,13 +679,13 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
         ups, mod_trials, derive_seed(seed, "gate:modulation"), threads=threads
     )
     frac_under = float(np.mean([s <= 2.0 * mod.bound for s in mod.per_trial_sup]))
-    results.append(
+    record(
         _gate(
             "modulation_sup_within_2x", frac_under, ">=", 0.99,
             detail=f"bound={mod.bound:.4g} trials={mod_trials}",
         )
     )
-    results.append(
+    record(
         _gate(
             "modulation_fraction_good", mod.fraction_good, ">=", 1.0 - 10.0 / 1024,
             detail="threshold follows the 1 - 10/n proxy rate",
@@ -656,7 +696,7 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
         x, y, 8, 0.15, dec_trials, derive_seed(seed, "gate:decomposition"), threads=threads
     )
     frac_p = float(np.mean([p <= 7.0 for p in dec.per_trial_P_norm]))
-    results.append(
+    record(
         _gate("decomposition_P_within_7", frac_p, ">=", 0.99, detail=f"trials={dec_trials}")
     )
     med_cols = []
@@ -666,7 +706,7 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
         )
         med_cols.append(float(np.median(repk.per_trial_max_col)))
     col_ratios = [med_cols[i + 1] / med_cols[i] for i in range(len(med_cols) - 1)]
-    results.append(
+    record(
         _gate(
             "decomposition_col_growth", max(col_ratios), "<=", 6.0,
             detail=f"medians={['%.4g' % m for m in med_cols]} per 4x step in k",

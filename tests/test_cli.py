@@ -347,6 +347,23 @@ def test_validate_quick_passes(tmp_path, capsys):
     assert len(doc.arrays["gates"]) == 7
 
 
+def test_validate_times_gates_on_stderr_only(tmp_path, capsys):
+    runs = []
+    for name in ("a.json", "b.json"):
+        assert run("validate", "--quick", "--json-out", tmp_path / name) == 0
+        captured = capsys.readouterr()
+        runs.append((captured, (tmp_path / name).read_bytes()))
+    for captured, _ in runs:
+        stdout = captured.out.splitlines()
+        assert [ln.split(" ")[0] for ln in stdout] == ["GATE"] * 7 + ["wrote", "all"]
+        assert stdout[-1] == "all gates passed"
+        names = [ln.split(":")[0][len("GATE "):] for ln in stdout[:7]]
+        timings = captured.err.splitlines()
+        assert [ln.split(":")[0] for ln in timings] == [f"time {name}" for name in names]
+        assert all(float(ln.split(": ")[1].removesuffix(" s")) >= 0.0 for ln in timings)
+    assert runs[0][1] == runs[1][1]
+
+
 # ---------------------------------------------------------------- info
 
 def test_info_prints_numpy_blas_and_fwht(tmp_path, capsys, monkeypatch):

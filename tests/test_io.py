@@ -129,6 +129,29 @@ def test_unit_policy_tiers(tmp_path):
     np.testing.assert_allclose(got.points, base, atol=1e-15)
 
 
+def test_rows_left_off_unit_by_renormalizing_are_refused(tmp_path):
+    # the norm of a row near either end of the float64 range is inexact,
+    # so dividing by it does not make the row unit
+    p = tmp_path / "extreme.pset"
+    for rows, bad in (([[1.0, 0.0], [1e200, 1e200]], 1), ([[1e-160, 3e-160], [0.0, 1.0]], 0)):
+        write_pset(p, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match=f"^row {bad} has norm .*; rows must be unit within 1e-9$") as ei:
+                load_pointset(p)
+        assert not isinstance(ei.value, ParseError)
+
+
+@pytest.mark.parametrize("kind", ["uniform_sphere", "flat_signs", "spiky", "clustered_pairs"])
+def test_loaded_pointset_is_bitwise_the_saved_one(tmp_path, kind):
+    ps = generate_pointset(kind, 64, 50, 11)
+    for save, load, name in ((save_pointset, load_pointset, "a.pset"), (save_pointset_csv, load_pointset_csv, "a.csv")):
+        save(ps, tmp_path / name)
+        back = load(tmp_path / name).points
+        assert back.dtype == np.float64 and back.shape == ps.points.shape
+        assert back.tobytes() == ps.points.tobytes()
+
+
 # ---------------------------------------------------------------- csv
 
 def test_csv_round_trip_exact(tmp_path):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from circembed import validation
 from circembed.embedders import embed_points, sample_operator
 from circembed.geometry import PointSet, angular_distance, coherence, hamming_normalized
 from circembed.io import generate_pointset
 from circembed.rng import Stream, derive_seed
 from circembed.transforms import _shift_rows, fwht, hadamard_matrix
 from circembed.validation import (
+    _decomposition_loop,
     _power_iteration,
     check_condition1,
     conditioning_experiment,
@@ -325,7 +327,7 @@ def test_decomposition_column_norm_below_spectral_norm():
 
 
 def _decomposition_reference(x, y, r, S):
-    """decomposition_sample with X_i's first Gram-Schmidt pass computed afresh."""
+    """_decomposition_loop with X_i's first Gram-Schmidt pass computed afresh."""
     X = _shift_rows(r * x, S)
     Y = _shift_rows(r * y, S)
     k = S.size
@@ -353,17 +355,51 @@ def _decomposition_reference(x, y, r, S):
     return float(col_norms.max()), float(np.linalg.norm(P_cols, 2)), degenerate
 
 
-@pytest.mark.parametrize("n, k", [(64, 8), (256, 32), (256, 128)])
-def test_decomposition_sample_matches_reference_bit_for_bit(n, k):
+def _loop(x, y, r, S):
+    return _decomposition_loop(_shift_rows(r * x, S), _shift_rows(r * y, S))
+
+
+def _draws(n, k):
     x, y = flat_pair(n)
     s = Stream(13, f"dec:{n}:{k}")
     for _ in range(4):
-        r = s.normals(n)
-        S = s.index_subset(n, k)
-        assert decomposition_sample(x, y, r, S) == _decomposition_reference(x, y, r, S)
+        yield x, y, s.normals(n), s.index_subset(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(64, 8), (256, 32), (256, 128)])
+def test_decomposition_sample_matches_reference_bit_for_bit(n, k):
+    for x, y, r, S in _draws(n, k):
+        assert _loop(x, y, r, S) == _decomposition_reference(x, y, r, S)
     # a pair whose columns fall inside the running span
     S = np.arange(k)
-    assert decomposition_sample(x, x, np.ones(n), S) == _decomposition_reference(x, x, np.ones(n), S)
+    assert _loop(x, x, np.ones(n), S) == _decomposition_reference(x, x, np.ones(n), S)
+
+
+@pytest.mark.parametrize("n, k", [(64, 8), (256, 32), (256, 128)])
+def test_decomposition_sample_qr_matches_reference_within_rounding(n, k, monkeypatch):
+    # Householder QR rounds differently from Gram-Schmidt, by about 1e-15 relative
+    want = [_decomposition_reference(*draw) for draw in _draws(n, k)]
+    monkeypatch.setattr(validation, "_decomposition_loop", None)  # these draws must not take the loop
+    for draw, (max_col, p_norm, degenerate) in zip(_draws(n, k), want):
+        got = decomposition_sample(*draw)
+        assert got[0] == pytest.approx(max_col, rel=1e-12, abs=0.0)
+        assert got[1] == pytest.approx(p_norm, rel=1e-12, abs=0.0)
+        assert got[2] is degenerate is False
+
+
+@pytest.mark.parametrize("n, k", [(64, 8), (256, 32), (16, 9)])
+def test_decomposition_sample_degenerate_draws_take_the_loop(n, k, monkeypatch):
+    calls = []
+    loop = validation._decomposition_loop
+    monkeypatch.setattr(validation, "_decomposition_loop", lambda X, Y: calls.append(1) or loop(X, Y))
+    x, y = flat_pair(n)
+    S = np.arange(k)
+    # y is x at any k; 2k > n leaves no room for independent columns
+    for second in (x, y) if 2 * k > n else (x,):
+        got = decomposition_sample(x, second, np.ones(n), S)
+        assert got == _decomposition_reference(x, second, np.ones(n), S)
+        assert got[2] is True
+    assert len(calls) == (2 if 2 * k > n else 1)
 
 
 def test_decomposition_experiment_report():
