@@ -18,8 +18,12 @@ with k=256 (what eval scores), save_result of that eval report, with its
 at N=1000: load_codes of a CRLF codes file with k=256, which takes the line
 parser, and load_pointset_csv at n=1000. A sixth times one whole quick gate
 suite with as many trial threads as cores, the default of validate.
+A seventh times the samplers: normals and rademacher from a fresh stream at
+2^10, 2^16 and 2^20 draws (above 2^16 they fan out in chunks), index_subset
+at (n, k) = (256, 128) and (2^20, 256), and deserialize_operator of a
+randomized BEOP1 record at n=10^6, k=256, which replays all three.
 The header is the output of ``circembed info``: numpy, the BLAS build, its
-thread count and whether reports pin it to one thread.
+thread count, whether reports pin it to one thread and the sampler threads.
 
 Usage:
     python3 scripts/bench_transforms.py --min-pow 14 --max-pow 20 --calls 20
@@ -36,11 +40,13 @@ import numpy as np
 from circembed.cli import main as cli_main
 from circembed.embedders import (
     KINDS,
+    deserialize_operator,
     embed,
     embed_points,
     sample_circulant_operator,
     sample_operator,
     sample_randomized_operator,
+    serialize_operator,
 )
 from circembed.geometry import coherence
 from circembed.io import (
@@ -53,7 +59,7 @@ from circembed.io import (
     save_pointset_csv,
     save_result,
 )
-from circembed.rng import Rng
+from circembed.rng import Rng, Stream
 from circembed.transforms import circulant_apply, fwht
 from circembed.validation import (
     conditioning_experiment,
@@ -158,6 +164,18 @@ def build_codec_cases(seed: int, tmp: str):
     ]
 
 
+def build_sampler_cases(seed: int):
+    cases = []
+    for p in (10, 16, 20):
+        cases.append((f"normals 2^{p}", lambda p=p: Stream(seed, "bench").normals(1 << p)))
+        cases.append((f"rademacher 2^{p}", lambda p=p: Stream(seed, "bench").rademacher(1 << p)))
+    for n, k, label in ((256, 128, "256"), (1 << 20, 256, "2^20")):
+        cases.append((f"index_subset n={label} k={k}", lambda n=n, k=k: Stream(seed, "bench").index_subset(n, k)))
+    record = serialize_operator(sample_randomized_operator(1_000_000, 256, seed))
+    cases.append(("deserialize randomized n=10^6", lambda: deserialize_operator(record)))
+    return cases
+
+
 def build_suite_cases(seed: int):
     threads = os.cpu_count() or 1
     return [(f"gate suite threads={threads}", lambda: run_gate_suite(seed, quick=True, threads=threads))]
@@ -204,6 +222,7 @@ def main() -> int:
              build_pairwise_cases(args.seed, tmp), 1),
             ("text readers, N=1000 (one call per repeat):", build_codec_cases(args.seed, tmp), 1),
             ("quick gate suite (one call per repeat):", build_suite_cases(args.seed), 1),
+            ("samplers, from a fresh stream:", build_sampler_cases(args.seed), args.calls),
         ):
             print()
             print(title)

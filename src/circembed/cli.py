@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _blas
+from . import _blas, rng
 from .embedders import KINDS, R_DISTS, deserialize_operator, embed_points, sample_operator, serialize_operator
 from .errors import ParseError
 from .geometry import coherence
@@ -227,6 +227,8 @@ def cmd_info(args) -> int:
         print("one-thread pin: unavailable (reports run on the BLAS thread count in effect, "
               "and their last bits may depend on it)")
     print("fwht: numpy (BLAS matmul)")
+    print(f"sampler threads: {rng.WORKERS} (for draws of more than {2 * rng._CHUNK} values; "
+          "the values do not depend on this)")
     return 0
 
 

@@ -50,6 +50,9 @@ __all__ = [
 _MAGIC = b"PSET1"
 _HEADER_LEN = 21
 _WARN_TOL = 1e-6  # rows off by more than this additionally warn
+# subnormal squares round by at most n * 2**-1075 in all, which is under
+# n * 2**-155 of the squared norm only for rows of at least this norm
+_LEAST_EXACT_NORM = 2.0**-460
 _CODE_TOKENS = frozenset(("+1", "-1", "1"))
 _SCHEMA_VERSIONS = ("1", "2")  # readable; the last is written
 _PAIRS_PER_CHUNK = 65536  # bounds the Python floats alive while a pair table is written
@@ -75,14 +78,15 @@ def _records(data: bytes):
         pos += len(line.encode("utf-8"))
 
 
-def _apply_unit_policy(raw: np.ndarray, norms: np.ndarray, origin: str) -> np.ndarray:
+def _apply_unit_policy(raw: np.ndarray, norms: np.ndarray, off: np.ndarray, origin: str) -> np.ndarray:
     """Normalize rows to unit norm, leaving already-unit rows untouched.
 
-    Rows within 1e-9 (the PointSet tolerance) of unit norm pass through
-    bit-exactly. Deviations up to 1e-6 are silently renormalized; anything
-    worse renormalizes too but warns: the data was probably not spherical.
+    ``norms`` are the norms of ``raw``'s rows and ``off`` how far the rows as
+    read were from unit norm. Rows within 1e-9 (the PointSet tolerance) of
+    unit norm pass through bit-exactly. Deviations up to 1e-6 are silently
+    renormalized; anything worse renormalizes too but warns: the data was
+    probably not spherical.
     """
-    off = np.abs(norms - 1.0)
     worst = float(off.max())
     if worst > _WARN_TOL:
         n_bad = int((off > _WARN_TOL).sum())
@@ -94,7 +98,6 @@ def _apply_unit_policy(raw: np.ndarray, norms: np.ndarray, origin: str) -> np.nd
     if fix.size:
         raw = raw.copy()
         raw[fix] /= norms[fix, None]
-        # rows near the ends of the float64 range can miss unit norm even so
         _require_unit(np.linalg.norm(raw[fix], axis=1), fix)
     return raw
 
@@ -110,11 +113,24 @@ def _checked_points(raw: np.ndarray, origin: str, offset_of) -> PointSet:
     if bad.any():
         row, col = divmod(int(np.argmax(bad.ravel())), raw.shape[1])
         raise ParseError(f"non-finite value at row {row}, column {col}", offset_of(row, col))
-    norms = np.linalg.norm(raw, axis=1)
-    if (norms == 0.0).any():
-        row = int(np.argmax(norms == 0.0))
-        raise ParseError(f"row {row} is all zeros", offset_of(row, 0))
-    return PointSet._checked(_apply_unit_policy(raw, norms, origin))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(raw, axis=1)
+    off = np.abs(norms - 1.0)
+    # near either end of the float64 range the sum of squares overflows or
+    # loses bits to subnormals; those rows, and only those, are divided by
+    # their largest |entry| first, so every other row keeps its bits
+    far = np.flatnonzero(~((norms >= _LEAST_EXACT_NORM) & (norms < np.inf)))
+    if far.size:
+        peak = np.abs(raw[far]).max(axis=1)
+        if (peak == 0.0).any():
+            row = int(far[np.argmax(peak == 0.0)])
+            raise ParseError(f"row {row} is all zeros", offset_of(row, 0))
+        raw = raw.copy()
+        raw[far] /= peak[:, None]
+        norms[far] = np.linalg.norm(raw[far], axis=1)
+        with np.errstate(over="ignore"):
+            off[far] = np.abs(peak * norms[far] - 1.0)
+    return PointSet._checked(_apply_unit_policy(raw, norms, off, origin))
 
 
 def load_pointset(path) -> PointSet:

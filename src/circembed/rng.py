@@ -9,11 +9,22 @@ Normal variates use Box-Muller on top of the uniform stream instead of the
 generator's built-in ziggurat sampler. Rejection-style samplers consume a
 data-dependent number of uniforms, which would break the fixed draw-count
 accounting the substream contract relies on.
+
+Because Philox is counter-based, draw j of a stream is a pure function of the
+key and j. Large ``normals`` and ``rademacher`` requests are therefore cut
+into chunks of ``_CHUNK`` pairs, each drawn by its own generator placed at the
+chunk's first draw, and the chunks run on the calling thread plus a shared
+pool. The values, and the state the stream is left in, are the same bits as
+one serial draw.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +32,12 @@ import numpy as np
 __all__ = ["Rng", "Stream", "derive_seed"]
 
 _U64 = (1 << 64) - 1
+_CHUNK = 1 << 15  # pairs per chunk: 256 KiB per uniform temporary
+WORKERS = os.cpu_count() or 1  # threads that draw one large request, the caller included
+_pool = None  # made by the first request that fans out
+# one request fans out at a time; a request that finds the pool taken draws
+# its chunks in order on its own thread (trial threads already fill the cores)
+_fan_out_lock = threading.Lock()
 
 
 def _tag_hash(tag: str) -> int:
@@ -35,45 +52,151 @@ def derive_seed(seed: int, tag: str) -> int:
     return int.from_bytes(d, "little")
 
 
+def _draws_at(key: np.ndarray, pos: int) -> np.random.Generator:
+    """A generator whose next 64-bit draw is draw ``pos`` of the stream keyed ``key``."""
+    # Philox makes 4 draws per counter step, and steps the counter before it
+    # makes them, so counter q is followed by draw 4q
+    block, skip = divmod(pos, 4)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=block))
+    if skip:
+        gen.bit_generator.random_raw(skip)
+    return gen
+
+
+def _halves_at(key: np.ndarray, half: int) -> np.random.Generator:
+    """A generator whose next 32-bit draw is half ``half`` of the stream keyed
+    ``key``: the low half of draw half // 2 if even, else its high half."""
+    gen = _draws_at(key, half // 2)
+    if half % 2:
+        gen.integers(0, 2)  # draws the low half and stashes the high one
+    return gen
+
+
+def _box_muller(rad: np.ndarray, ang: np.ndarray, out: np.ndarray) -> None:
+    """Fill out's even and odd slots with normals from two uniform arrays, in place."""
+    # the uniforms become the radius and the angle, and cos and sin write
+    # straight into the output; 1 - u lies in (0, 1], so the log is finite
+    np.log1p(np.negative(rad, out=rad), out=rad)
+    rad *= -2.0
+    np.sqrt(rad, out=rad)
+    ang *= 2.0 * np.pi
+    even, odd = out[0::2], out[1::2]
+    np.cos(ang, out=even)
+    even *= rad
+    np.sin(ang, out=odd)
+    odd *= rad
+
+
+def _signs(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write 2*bits - 1, that is -1.0 or 1.0, into out and return it."""
+    np.multiply(bits, 2.0, out=out)
+    out -= 1.0
+    return out
+
+
+def _run_chunks(chunk, count: int) -> None:
+    """Call chunk(c) once for each c in range(count), on this thread and the pool."""
+    global _pool
+    if count < 2 or WORKERS < 2 or not _fan_out_lock.acquire(blocking=False):
+        for c in range(count):
+            chunk(c)
+        return
+    try:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="circembed-sampler")
+        # every thread takes the next undrawn chunk until none is left;
+        # count's __next__ is one C call, so no two threads get one chunk
+        todo = itertools.count()
+
+        def drain():
+            for c in todo:
+                if c >= count:
+                    return
+                chunk(c)
+
+        helpers = [_pool.submit(drain) for _ in range(min(WORKERS - 1, count - 1))]
+        try:
+            drain()
+        finally:
+            wait(helpers)  # no helper may still write into the output
+        for h in helpers:
+            h.result()
+    finally:
+        _fan_out_lock.release()
+
+
 class Stream:
     """One named substream of an :class:`Rng`."""
 
     def __init__(self, seed: int, tag: str):
         self.seed = int(seed) & _U64
         self.tag = tag
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, _tag_hash(tag)], dtype=np.uint64))
-        )
+        self._key = np.array([self.seed, _tag_hash(tag)], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=self._key))
 
     def uniforms(self, size: int) -> np.ndarray:
         return self._gen.random(int(size))
 
+    def _tell(self) -> tuple:
+        """(state, index of the next 64-bit draw) of the stream's generator."""
+        state = self._gen.bit_generator.state
+        counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
+        return state, 4 * (counter - 1) + state["buffer_pos"]
+
     def normals(self, size: int) -> np.ndarray:
-        """i.i.d. N(0,1); consumes exactly 2*ceil(size/2) uniforms."""
+        """i.i.d. N(0,1); consumes exactly 2*ceil(size/2) uniforms.
+
+        Pair i is drawn from uniform i (the radius) and uniform pairs + i (the
+        angle), so a chunk of pairs reads two runs of the stream.
+        """
         m = int(size)
         if m < 0:
             raise ValueError("size must be nonnegative")
         pairs = (m + 1) // 2
-        # Box-Muller in place: the uniforms become the radius and the angle,
-        # and cos and sin write straight into the output
-        rad = self._gen.random(pairs)
-        ang = self._gen.random(pairs)
-        # 1 - u lies in (0, 1], so the log below is always finite
-        np.log1p(np.negative(rad, out=rad), out=rad)
-        rad *= -2.0
-        np.sqrt(rad, out=rad)
-        ang *= 2.0 * np.pi
         out = np.empty(2 * pairs)
-        even, odd = out[0::2], out[1::2]
-        np.cos(ang, out=even)
-        even *= rad
-        np.sin(ang, out=odd)
-        odd *= rad
+        if pairs <= _CHUNK:
+            _box_muller(self._gen.random(pairs), self._gen.random(pairs), out)
+            return out[:m]
+        state, start = self._tell()
+
+        def chunk(c):
+            a, b = c * _CHUNK, min((c + 1) * _CHUNK, pairs)
+            rad = _draws_at(self._key, start + a).random(b - a)
+            ang = _draws_at(self._key, start + pairs + a).random(b - a)
+            _box_muller(rad, ang, out[2 * a:2 * b])
+
+        _run_chunks(chunk, -(-pairs // _CHUNK))
+        # leave the generator where a serial draw would, 32-bit stash included
+        end = _draws_at(self._key, start + 2 * pairs - 1)
+        end.bit_generator.random_raw(1)
+        after = end.bit_generator.state
+        after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
+        self._gen.bit_generator.state = after
         return out[:m]
 
     def rademacher(self, size: int) -> np.ndarray:
-        bits = self._gen.integers(0, 2, size=int(size))
-        return np.where(bits == 1, 1.0, -1.0)
+        """i.i.d. -1.0 or 1.0; each sign consumes one 32-bit half of the stream."""
+        m = int(size)
+        if m <= 2 * _CHUNK:
+            bits = self._gen.integers(0, 2, size=m)
+            return _signs(bits, np.empty(m))
+        out = np.empty(m)
+        state, start = self._tell()
+        # a stashed 32-bit half, whatever draw it came from, is the first sign
+        lead = state["has_uint32"]
+        if lead:
+            _signs(self._gen.integers(0, 2, size=1), out[:1])
+        rest = out[lead:]
+
+        def chunk(c):
+            a, b = c * 2 * _CHUNK, min((c + 1) * 2 * _CHUNK, rest.size)
+            _signs(_halves_at(self._key, 2 * start + a).integers(0, 2, size=b - a), rest[a:b])
+
+        _run_chunks(chunk, -(-rest.size // (2 * _CHUNK)))
+        end = _halves_at(self._key, 2 * start + rest.size - 1)
+        end.integers(0, 2)
+        self._gen.bit_generator.state = end.bit_generator.state
+        return out
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
@@ -82,15 +205,20 @@ class Stream:
         """k distinct indices from [0, n), uniform without replacement.
 
         Partial Fisher-Yates: only the first k slots get settled, so the
-        cost is k integer draws regardless of n.
+        cost is k integer draws regardless of n. Slot t swaps with slot
+        t + u_t, where u_t is uniform on [0, n - t); all k offsets come from
+        one call, which draws them in the order of k scalar calls.
         """
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        idx = np.arange(n, dtype=np.int64)
-        for t in range(k):
-            j = t + int(self._gen.integers(0, n - t))
-            idx[t], idx[j] = idx[j], idx[t]
-        return idx[:k].copy()
+        slots = np.arange(k, dtype=np.int64)
+        swaps = (self._gen.integers(0, n - slots) + slots).tolist()
+        moved = {}  # slot -> index now in it, for slots a swap has touched
+        picked = []
+        for t, j in enumerate(swaps):
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(t, t)
+        return np.array(picked, dtype=np.int64)
 
 
 @dataclass(frozen=True)

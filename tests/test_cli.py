@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -371,11 +372,13 @@ def test_info_prints_numpy_blas_and_fwht(tmp_path, capsys, monkeypatch):
     assert run("info") == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"numpy: {np.__version__}"
-    assert [ln.split(":")[0] for ln in lines] == ["numpy", "blas", "blas threads", "one-thread pin", "fwht"]
+    assert [ln.split(":")[0] for ln in lines] == [
+        "numpy", "blas", "blas threads", "one-thread pin", "fwht", "sampler threads"]
     count = _blas.thread_count()
     assert lines[2] == f"blas threads: {'unknown' if count is None else count}"
     assert lines[3].startswith("one-thread pin: available" if _blas.pin_available() else "one-thread pin: unavailable")
     assert lines[4] == "fwht: numpy (BLAS matmul)"
+    assert lines[5].startswith(f"sampler threads: {os.cpu_count() or 1} (")
     assert list(tmp_path.iterdir()) == []  # writes no file
 
 

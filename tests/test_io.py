@@ -129,17 +129,27 @@ def test_unit_policy_tiers(tmp_path):
     np.testing.assert_allclose(got.points, base, atol=1e-15)
 
 
-def test_rows_left_off_unit_by_renormalizing_are_refused(tmp_path):
-    # the norm of a row near either end of the float64 range is inexact,
-    # so dividing by it does not make the row unit
-    p = tmp_path / "extreme.pset"
-    for rows, bad in (([[1.0, 0.0], [1e200, 1e200]], 1), ([[1e-160, 3e-160], [0.0, 1.0]], 0)):
-        write_pset(p, rows)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match=f"^row {bad} has norm .*; rows must be unit within 1e-9$") as ei:
-                load_pointset(p)
-        assert not isinstance(ei.value, ParseError)
+def test_rows_near_the_float64_range_ends_load(tmp_path):
+    # the plain norm of [1e200, 1e200] overflows, and those of the tiny rows
+    # lose bits to subnormal squares or underflow to 0; such rows are scaled
+    # by their largest entry first, and the unit rows keep their bits
+    rows = [[1.0, 0.0], [1e200, 1e200], [1e-160, 3e-160], [0.0, 1.0], [-1e-170, 0.0]]
+    want = [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [0.1**0.5, 0.9**0.5], [0.0, 1.0], [-1.0, 0.0]]
+    (tmp_path / "extreme.csv").write_text("\n".join(
+        ["dim=2"] + [",".join(map(repr, row)) for row in rows]) + "\n")
+    write_pset(tmp_path / "extreme.pset", rows)
+    for load, name in ((load_pointset, "extreme.pset"), (load_pointset_csv, "extreme.csv")):
+        with pytest.warns(UserWarning, match="3 rows deviate from unit norm by up to 1.41e"):
+            got = load(tmp_path / name).points
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert got[[0, 3]].tobytes() == np.array(rows)[[0, 3]].tobytes()
+
+
+def test_zero_rows_are_refused_beside_scaled_rows(tmp_path):
+    write_pset(tmp_path / "z.pset", [[1e-170, 0.0], [0.0, 0.0], [1e300, 1e300]])
+    with pytest.raises(ParseError, match="^row 1 is all zeros") as ei:
+        load_pointset(tmp_path / "z.pset")
+    assert ei.value.offset == 21 + 16
 
 
 @pytest.mark.parametrize("kind", ["uniform_sphere", "flat_signs", "spiky", "clustered_pairs"])

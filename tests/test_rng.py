@@ -1,11 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circembed.rng import Rng, Stream, derive_seed
+from circembed.rng import _CHUNK, Rng, Stream, derive_seed
 
 
 # Frozen outputs. These pin the key-derivation scheme and the normal
@@ -120,3 +121,124 @@ def test_derive_seed_tag_sensitivity(tag_a, tag_b, seed):
     else:
         # 64-bit hash collisions are possible in principle, not at 100 examples
         assert derive_seed(seed, tag_a) != derive_seed(seed, tag_b)
+
+
+# ---------------------------------------------------------------- chunked draws
+# The serial bodies of normals, rademacher and index_subset from before the
+# samplers drew in chunks. Every stored operator replays these draws, so the
+# chunked code must give the same values and leave the same stream behind.
+
+def ref_normals(gen, size):
+    pairs = (size + 1) // 2
+    rad = gen.random(pairs)
+    ang = gen.random(pairs)
+    np.log1p(np.negative(rad, out=rad), out=rad)
+    rad *= -2.0
+    np.sqrt(rad, out=rad)
+    ang *= 2.0 * np.pi
+    out = np.empty(2 * pairs)
+    even, odd = out[0::2], out[1::2]
+    np.cos(ang, out=even)
+    even *= rad
+    np.sin(ang, out=odd)
+    odd *= rad
+    return out[:size]
+
+
+def ref_rademacher(gen, size):
+    bits = gen.integers(0, 2, size=size)
+    return np.where(bits == 1, 1.0, -1.0)
+
+
+def ref_index_subset(gen, n, k):
+    idx = np.arange(n, dtype=np.int64)
+    for t in range(k):
+        j = t + int(gen.integers(0, n - t))
+        idx[t], idx[j] = idx[j], idx[t]
+    return idx[:k].copy()
+
+
+_EDGE_SIZES = [0, 1, 7, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 4 * _CHUNK + 3, 2**20 + 1]
+_sizes = st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(0, 6 * _CHUNK))
+# a prior state: uniforms move buffer_pos through 1-4, and a single sign
+# leaves the high half of a 64-bit draw stashed for the next 32-bit draw
+_prefix = st.lists(st.one_of(st.integers(1, 5), st.just("sign")), max_size=4)
+
+
+def _twin_streams(seed, prefix):
+    a, b = Stream(seed, "chunked"), Stream(seed, "chunked")
+    for step in prefix:
+        for s in (a, b):
+            if step == "sign":
+                s.integers(0, 2)
+            else:
+                s.uniforms(step)
+    return a, b
+
+
+def _assert_same_stream_after(a, b):
+    assert a.uniforms(5).tobytes() == b.uniforms(5).tobytes()
+    assert a.rademacher(3).tobytes() == ref_rademacher(b._gen, 3).tobytes()
+    assert a.uniforms(2).tobytes() == b.uniforms(2).tobytes()
+
+
+@given(st.integers(0, 2**64 - 1), _prefix, _sizes, st.sampled_from(["normals", "rademacher"]))
+@example(1, ["sign", 3], 2 * _CHUNK + 1, "rademacher")
+@example(1, [2, "sign"], 2**20 + 1, "rademacher")
+@example(1, ["sign", 1], 2**20 + 1, "normals")
+@settings(max_examples=60, deadline=None)
+def test_chunked_draws_equal_the_serial_reference(seed, prefix, size, method):
+    a, b = _twin_streams(seed, prefix)
+    ref = ref_normals if method == "normals" else ref_rademacher
+    got = getattr(a, method)(size)
+    assert got.dtype == np.float64 and got.shape == (size,)
+    assert got.tobytes() == ref(b._gen, size).tobytes()
+    _assert_same_stream_after(a, b)
+
+
+@given(st.integers(0, 2**64 - 1), _prefix, st.integers(1, 3000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_index_subset_equals_the_serial_reference(seed, prefix, n, data):
+    k = data.draw(st.integers(1, n))
+    a, b = _twin_streams(seed, prefix)
+    got = a.index_subset(n, k)
+    assert got.dtype == np.int64
+    assert got.tobytes() == ref_index_subset(b._gen, n, k).tobytes()
+    _assert_same_stream_after(a, b)
+
+
+def test_index_subset_beyond_32_bits_draws_like_scalar_calls():
+    # n - t spans more than 32 bits, so each offset takes a 64-bit draw; the
+    # reference's n-entry array would not fit, so compare the draws instead
+    n, k = 2**33, 64
+    a, b = _twin_streams(3, ["sign", 3])
+    got = a.index_subset(n, k)
+    offsets = [int(b.integers(0, n - t)) for t in range(k)]
+    assert len(set(got.tolist())) == k and 0 <= got.min() and got.max() < n
+    assert got[0] == offsets[0]
+    _assert_same_stream_after(a, b)
+
+
+def test_concurrent_chunked_draws_give_the_serial_bits():
+    size = 4 * _CHUNK + 5
+    seeds = range(4)
+    want = {}
+    for s in seeds:
+        gen = Stream(s, "c")._gen
+        want[s] = (ref_normals(gen, size), ref_rademacher(gen, size))
+    got = {}
+    start = threading.Barrier(len(seeds))
+
+    def draw(s):
+        stream = Stream(s, "c")
+        start.wait()
+        got[s] = (stream.normals(size), stream.rademacher(size))
+
+    threads = [threading.Thread(target=draw, args=(s,)) for s in seeds]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for s in seeds:
+        for g, w in zip(got[s], want[s]):
+            assert g.tobytes() == w.tobytes()
