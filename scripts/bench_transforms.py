@@ -19,11 +19,13 @@ at N=1000: load_codes of a CRLF codes file with k=256, which takes the line
 parser, and load_pointset_csv at n=1000. A sixth times one whole quick gate
 suite with as many trial threads as cores, the default of validate.
 A seventh times the samplers: normals and rademacher from a fresh stream at
-2^10, 2^16 and 2^20 draws (above 2^16 they fan out in chunks), index_subset
-at (n, k) = (256, 128) and (2^20, 256), and deserialize_operator of a
-randomized BEOP1 record at n=10^6, k=256, which replays all three.
+2^10, 2^16 and 2^20 draws (above 2^16 they fan out in chunks), two threads
+each drawing normals 2^20 at the same time (both fan out over the one
+worker pool), index_subset at (n, k) = (256, 128) and (2^20, 256), and
+deserialize_operator of a randomized BEOP1 record at n=10^6, k=256, which
+replays all three.
 The header is the output of ``circembed info``: numpy, the BLAS build, its
-thread count, whether reports pin it to one thread and the sampler threads.
+thread count, whether reports pin it to one thread and the worker threads.
 
 Usage:
     python3 scripts/bench_transforms.py --min-pow 14 --max-pow 20 --calls 20
@@ -33,6 +35,7 @@ import argparse
 import math
 import os
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -80,6 +83,15 @@ def time_callable(fn, calls: int, repeats: int) -> float:
             fn()
         best = min(best, (time.perf_counter() - t0) / calls)
     return best
+
+
+def concurrently(fns) -> None:
+    """Call every fn on its own thread, all started together, and wait for all."""
+    threads = [threading.Thread(target=fn) for fn in fns]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
 
 
 def build_cases(n: int, seed: int):
@@ -169,6 +181,8 @@ def build_sampler_cases(seed: int):
     for p in (10, 16, 20):
         cases.append((f"normals 2^{p}", lambda p=p: Stream(seed, "bench").normals(1 << p)))
         cases.append((f"rademacher 2^{p}", lambda p=p: Stream(seed, "bench").rademacher(1 << p)))
+    cases.append(("2 x normals 2^20 at once", lambda: concurrently(
+        [lambda i=i: Stream(seed, f"bench:{i}").normals(1 << 20) for i in range(2)])))
     for n, k, label in ((256, 128, "256"), (1 << 20, 256, "2^20")):
         cases.append((f"index_subset n={label} k={k}", lambda n=n, k=k: Stream(seed, "bench").index_subset(n, k)))
     record = serialize_operator(sample_randomized_operator(1_000_000, 256, seed))

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import _blas, rng
+from . import _blas, _pool, rng
 from .embedders import KINDS, R_DISTS, deserialize_operator, embed_points, sample_operator, serialize_operator
 from .errors import ParseError
 from .geometry import coherence
@@ -227,8 +226,8 @@ def cmd_info(args) -> int:
         print("one-thread pin: unavailable (reports run on the BLAS thread count in effect, "
               "and their last bits may depend on it)")
     print("fwht: numpy (BLAS matmul)")
-    print(f"sampler threads: {rng.WORKERS} (for draws of more than {2 * rng._CHUNK} values; "
-          "the values do not depend on this)")
+    print(f"worker threads: {_pool.WORKERS} (Monte Carlo trials and draws of more than "
+          f"{2 * rng._CHUNK} values; the values do not depend on this)")
     return 0
 
 
@@ -236,8 +235,8 @@ def _add_common(p, threads=True):
     p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     if threads:
         p.add_argument(
-            "--threads", type=int, default=os.cpu_count() or 1,
-            help="worker threads for Monte Carlo trials; results do not depend on this",
+            "--threads", type=int, default=_pool.WORKERS,
+            help="Monte Carlo trial threads, at most one per core; results do not depend on this",
         )
 
 
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="code length")
     p.add_argument("--out", required=True, help="codes CSV path")
     p.add_argument("--operator-out", default=None, help="operator sidecar path (default <out>.beop)")
-    _add_common(p)
+    _add_common(p, threads=False)
 
     p = sub.add_parser("eval", help="all-pairs distortion report")
     p.add_argument("--pointset", required=True)
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.15, help="distortion target")
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
     p.add_argument("--pairs", default=None, help="also write every pair as CSV to this path")
-    _add_common(p)
+    _add_common(p, threads=False)
 
     p = sub.add_parser("sweep", help="distortion grid over k and delta")
     p.add_argument("--pointset", required=True)

@@ -13,31 +13,24 @@ accounting the substream contract relies on.
 Because Philox is counter-based, draw j of a stream is a pure function of the
 key and j. Large ``normals`` and ``rademacher`` requests are therefore cut
 into chunks of ``_CHUNK`` pairs, each drawn by its own generator placed at the
-chunk's first draw, and the chunks run on the calling thread plus a shared
-pool. The values, and the state the stream is left in, are the same bits as
-one serial draw.
+chunk's first draw, and the chunks fan out over the one worker pool
+(``_pool.fan_out``). The values, and the state the stream is left in, are
+the same bits as one serial draw.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._pool import fan_out
 
 __all__ = ["Rng", "Stream", "derive_seed"]
 
 _U64 = (1 << 64) - 1
 _CHUNK = 1 << 15  # pairs per chunk: 256 KiB per uniform temporary
-WORKERS = os.cpu_count() or 1  # threads that draw one large request, the caller included
-_pool = None  # made by the first request that fans out
-# one request fans out at a time; a request that finds the pool taken draws
-# its chunks in order on its own thread (trial threads already fill the cores)
-_fan_out_lock = threading.Lock()
 
 
 def _tag_hash(tag: str) -> int:
@@ -94,37 +87,6 @@ def _signs(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_chunks(chunk, count: int) -> None:
-    """Call chunk(c) once for each c in range(count), on this thread and the pool."""
-    global _pool
-    if count < 2 or WORKERS < 2 or not _fan_out_lock.acquire(blocking=False):
-        for c in range(count):
-            chunk(c)
-        return
-    try:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="circembed-sampler")
-        # every thread takes the next undrawn chunk until none is left;
-        # count's __next__ is one C call, so no two threads get one chunk
-        todo = itertools.count()
-
-        def drain():
-            for c in todo:
-                if c >= count:
-                    return
-                chunk(c)
-
-        helpers = [_pool.submit(drain) for _ in range(min(WORKERS - 1, count - 1))]
-        try:
-            drain()
-        finally:
-            wait(helpers)  # no helper may still write into the output
-        for h in helpers:
-            h.result()
-    finally:
-        _fan_out_lock.release()
-
-
 class Stream:
     """One named substream of an :class:`Rng`."""
 
@@ -165,7 +127,7 @@ class Stream:
             ang = _draws_at(self._key, start + pairs + a).random(b - a)
             _box_muller(rad, ang, out[2 * a:2 * b])
 
-        _run_chunks(chunk, -(-pairs // _CHUNK))
+        fan_out(chunk, range(-(-pairs // _CHUNK)))
         # leave the generator where a serial draw would, 32-bit stash included
         end = _draws_at(self._key, start + 2 * pairs - 1)
         end.bit_generator.random_raw(1)
@@ -192,7 +154,7 @@ class Stream:
             a, b = c * 2 * _CHUNK, min((c + 1) * 2 * _CHUNK, rest.size)
             _signs(_halves_at(self._key, 2 * start + a).integers(0, 2, size=b - a), rest[a:b])
 
-        _run_chunks(chunk, -(-rest.size // (2 * _CHUNK)))
+        fan_out(chunk, range(-(-rest.size // (2 * _CHUNK))))
         end = _halves_at(self._key, 2 * start + rest.size - 1)
         end.integers(0, 2)
         self._gen.bit_generator.state = end.bit_generator.state

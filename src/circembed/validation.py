@@ -4,9 +4,9 @@ Every experiment runs its trials through ``_run_trials``, the only place
 that checks the trial count and derives trial seeds: trial t draws fresh
 randomness from derive_seed(seed, "trial:<t>"), so trials are mutually
 independent, a run is fully reproducible from its seed, and extending the
-trial count leaves earlier trials unchanged. Trials may fan out across
-threads; results come back in trial order, so reports never depend on
-scheduling.
+trial count leaves earlier trials unchanged. Trials fan out over the one
+worker pool (``_pool.fan_out``) on at most min(threads, cores) threads;
+results come back in trial order, so reports never depend on scheduling.
 
 The public experiments, ``evaluate_codes`` and ``run_gate_suite`` run with
 BLAS pinned to one thread (``_blas.one_thread``), so the bits of their
@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _blas, embedders
+from ._pool import fan_out
 from .geometry import _PRE_ATOL, PointSet, _angular_pairs, _coherence, _hamming_pairs, angular_distance
 from .rng import Rng, derive_seed
 from .transforms import _shift_rows
@@ -58,11 +58,7 @@ def _run_trials(fn: Callable[[int], object], trials: int, seed: int, threads: in
     """[fn(trial seed) for each trial], in trial order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    seeds = [derive_seed(seed, f"trial:{t}") for t in range(trials)]
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            return list(ex.map(fn, seeds))
-    return [fn(s) for s in seeds]
+    return fan_out(fn, [derive_seed(seed, f"trial:{t}") for t in range(trials)], int(threads))
 
 
 def _unit_pair(x, y) -> tuple:

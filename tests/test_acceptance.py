@@ -244,8 +244,7 @@ def test_10_pipeline_is_byte_deterministic(tmp_path, monkeypatch):
         assert cli_main(["gen", "--kind", "flat_signs", "--n", "64", "--N", "16",
                          "--seed", "5", "--out", "pts.pset"]) == 0
         assert cli_main(["embed", "--pointset", "pts.pset", "--kind", "randomized",
-                         "--k", "32", "--seed", "6", "--threads", str(threads),
-                         "--out", "codes.csv"]) == 0
+                         "--k", "32", "--seed", "6", "--out", "codes.csv"]) == 0
         assert cli_main(["eval", "--pointset", "pts.pset", "--codes", "codes.csv",
                          "--operator", "codes.csv.beop", "--out", "eval.json"]) == 0
         assert cli_main(["sweep", "--pointset", "pts.pset", "--kind", "circulant",

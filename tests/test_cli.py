@@ -98,15 +98,17 @@ def test_embed_reruns_byte_identical(tmp_path):
     assert (tmp_path / "a.csv.beop").read_bytes() == (tmp_path / "b.csv.beop").read_bytes()
 
 
-def test_embed_thread_count_does_not_change_bytes(tmp_path):
+@pytest.mark.parametrize("subcommand", ["embed", "eval"])
+def test_embed_and_eval_refuse_threads(tmp_path, capsys, subcommand):
+    # neither runs Monte Carlo trials, so neither takes the flag
     pts = gen_pointset(tmp_path, N=16)
-    a = tmp_path / "t1.csv"
-    b = tmp_path / "t8.csv"
-    assert run("embed", "--pointset", pts, "--kind", "gaussian", "--k", 8,
-               "--seed", 3, "--threads", 1, "--out", a) == 0
-    assert run("embed", "--pointset", pts, "--kind", "gaussian", "--k", 8,
-               "--seed", 3, "--threads", 8, "--out", b) == 0
-    assert a.read_bytes() == b.read_bytes()
+    out = tmp_path / "out"
+    argv = [subcommand, "--pointset", pts, "--kind", "gaussian", "--k", 8, "--out", out]
+    capsys.readouterr()
+    assert run(*argv, "--threads", 2) == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.beop").exists()
+    assert run(*argv) == 0
 
 
 def test_embed_missing_pointset_is_io_error(tmp_path):
@@ -373,12 +375,12 @@ def test_info_prints_numpy_blas_and_fwht(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"numpy: {np.__version__}"
     assert [ln.split(":")[0] for ln in lines] == [
-        "numpy", "blas", "blas threads", "one-thread pin", "fwht", "sampler threads"]
+        "numpy", "blas", "blas threads", "one-thread pin", "fwht", "worker threads"]
     count = _blas.thread_count()
     assert lines[2] == f"blas threads: {'unknown' if count is None else count}"
     assert lines[3].startswith("one-thread pin: available" if _blas.pin_available() else "one-thread pin: unavailable")
     assert lines[4] == "fwht: numpy (BLAS matmul)"
-    assert lines[5].startswith(f"sampler threads: {os.cpu_count() or 1} (")
+    assert lines[5].startswith(f"worker threads: {os.cpu_count() or 1} (Monte Carlo trials and draws of more than 65536 values; ")
     assert list(tmp_path.iterdir()) == []  # writes no file
 
 
