@@ -7,7 +7,8 @@ should stay close to 2.0; the 2.5 acceptance line leaves headroom for FFT
 log factors and cache effects. A second table times the batched paths at
 fixed sizes: embed_points of N=1000 points at n=1024, k=256 for each kind.
 A third times one trial of each Monte Carlo experiment, single-threaded, at
-the sizes the gate suite runs it, decomposition at each of its k and on
+the sizes the gate suite runs it, conditioning also at k=300 on a flat
+pair at n=512 (a 600 x 600 eigvalsh), decomposition at each of its k and on
 the degenerate pair y = x, which takes the Gram-Schmidt fallback. A
 fourth times the pairwise layer once per repeat: coherence of N=1000 points at n=1000 (what gen prints) and of the
 sets its pruning bound helps least (spiky and clustered_pairs at n=N=1000,
@@ -27,11 +28,23 @@ replays all three.
 The header is the output of ``circembed info``: numpy, the BLAS build, its
 thread count, whether reports pin it to one thread and the worker threads.
 
+``--json-out PATH`` also records the run as JSON: the ``info`` lines, the
+core count, a sha256 of the timed package's sources and one best-of time
+per table row, in ms (the scaling table gives one row per kernel and size).
+A run is appended to the runs already in PATH, so runs of two source trees
+(say, with PYTHONPATH at a checkout of the parent commit's src) sit side by
+side in one file.
+
 Usage:
     python3 scripts/bench_transforms.py --min-pow 14 --max-pow 20 --calls 20
+    python3 scripts/bench_transforms.py --json-out BENCH.json
 """
 
 import argparse
+import contextlib
+import hashlib
+import io
+import json
 import math
 import os
 import tempfile
@@ -40,6 +53,7 @@ import time
 
 import numpy as np
 
+import circembed
 from circembed.cli import main as cli_main
 from circembed.embedders import (
     KINDS,
@@ -119,17 +133,20 @@ def build_batched_cases(seed: int):
 
 
 def build_trial_cases(seed: int):
-    # the inputs of run_gate_suite; conditioning at the largest k it uses,
-    # decomposition at each k it uses and on a degenerate pair (y is x),
-    # which takes the Gram-Schmidt fallback
+    # the inputs of run_gate_suite; conditioning at the largest k it uses and
+    # at k=300, past the gates' sizes; decomposition at each k it uses and on
+    # a degenerate pair (y is x), which takes the Gram-Schmidt fallback
     flat = generate_pointset("flat_signs", 1024, 32, seed)
     ups = generate_pointset("uniform_sphere", 1024, 1000, seed)
     x = np.ones(256) / 16.0
     y = np.tile([1.0, -1.0], 128) / 16.0
+    x512 = np.ones(512) / math.sqrt(512)
+    y512 = np.tile([1.0, -1.0], 256) / math.sqrt(512)
     return [
         ("distortion gaussian", lambda: distortion_experiment(flat, "gaussian", 1024, 1, seed)),
         ("distortion randomized", lambda: distortion_experiment(flat, "randomized", 1024, 1, seed)),
         ("conditioning k=128", lambda: conditioning_experiment(x, y, 128, 1, seed)),
+        ("conditioning k=300", lambda: conditioning_experiment(x512, y512, 300, 1, seed)),
         ("modulation", lambda: hadamard_coherence_experiment(ups, 1, seed)),
         ("decomposition k=8", lambda: decomposition_experiment(x, y, 8, 0.15, 1, seed)),
         ("decomposition k=32", lambda: decomposition_experiment(x, y, 32, 0.15, 1, seed)),
@@ -195,6 +212,30 @@ def build_suite_cases(seed: int):
     return [(f"gate suite threads={threads}", lambda: run_gate_suite(seed, quick=True, threads=threads))]
 
 
+def source_sha256() -> str:
+    """sha256 over the timed package's .py files, in name order."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(circembed.__file__)
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as f:
+            h.update(name.encode() + b"\0" + f.read())
+    return h.hexdigest()
+
+
+def write_run(path: str, info: list, args, rows: list) -> None:
+    """Append this run to the runs in the JSON file at path."""
+    runs = []
+    if os.path.exists(path):
+        with open(path) as f:
+            runs = json.load(f)["runs"]
+    params = {k: v for k, v in vars(args).items() if k != "json_out"}
+    runs.append({"info": info, "cores": os.cpu_count(), "source_sha256": source_sha256(),
+                 "args": params, "rows": [{"table": t, "name": n, "ms": ms} for t, n, ms in rows]})
+    with open(path, "w") as f:
+        json.dump({"runs": runs}, f, indent=1)
+        f.write("\n")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--min-pow", type=int, default=14)
@@ -202,10 +243,16 @@ def main() -> int:
     ap.add_argument("--calls", type=int, default=20, help="calls per measurement")
     ap.add_argument("--repeats", type=int, default=3, help="repetitions, best kept")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--json-out", default=None, metavar="PATH", help="append this run to a JSON file")
     args = ap.parse_args()
 
-    cli_main(["info"])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli_main(["info"])
+    info = out.getvalue().splitlines()
+    print("\n".join(info))
+    print(f"cores: {os.cpu_count()}")
     print()
+    rows = []  # (table, name, best-of ms)
     fwht(np.ones(2))  # first call outside the timed region
     sizes = [1 << p for p in range(args.min_pow, args.max_pow + 1)]
     names = [name for name, _ in build_cases(sizes[0], args.seed)]
@@ -221,6 +268,7 @@ def main() -> int:
         row = name.ljust(18)
         row += "".join(f"{t * 1e3:10.3f}ms " for t in table[name])
         print(row)
+        rows += [("scaling", f"{name} n=2^{int(math.log2(n))}", t * 1e3) for n, t in zip(sizes, table[name])]
     print()
     print("per-doubling ratios (near 2.0 is linear):")
     for name in names:
@@ -242,7 +290,11 @@ def main() -> int:
             print(title)
             for name, fn in cases:
                 fn()
-                print(f"  {name.ljust(30)} {time_callable(fn, calls, args.repeats) * 1e3:10.3f}ms")
+                ms = time_callable(fn, calls, args.repeats) * 1e3
+                rows.append((title.rstrip(":"), name, ms))
+                print(f"  {name.ljust(30)} {ms:10.3f}ms")
+    if args.json_out:
+        write_run(args.json_out, info, args, rows)
     return 0
 
 

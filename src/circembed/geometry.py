@@ -92,8 +92,7 @@ def angular_distance(x, y) -> float:
         raise ValueError(
             f"inputs must be unit vectors within 1e-6, got norms {nx!r}, {ny!r}"
         )
-    c = float(np.clip(np.dot(xv, yv), -1.0, 1.0))
-    return math.acos(c) / math.pi
+    return float(_angles(np.dot(xv, yv)))
 
 
 def hamming_normalized(a, b) -> float:

@@ -11,9 +11,10 @@ data-dependent number of uniforms, which would break the fixed draw-count
 accounting the substream contract relies on.
 
 Because Philox is counter-based, draw j of a stream is a pure function of the
-key and j. Large ``normals`` and ``rademacher`` requests are therefore cut
-into chunks of ``_CHUNK`` pairs, each drawn by its own generator placed at the
-chunk's first draw, and the chunks fan out over the one worker pool
+key and j. Large ``normals`` requests are therefore cut into chunks of
+``_CHUNK`` pairs, and every ``rademacher`` request into chunks of ``_CHUNK``
+draws (two signs each). Each chunk is drawn by a generator placed at its
+first draw, and the chunks fan out over the one worker pool
 (``_pool.fan_out``). The values, and the state the stream is left in, are
 the same bits as one serial draw.
 """
@@ -30,7 +31,7 @@ from ._pool import fan_out
 __all__ = ["Rng", "Stream", "derive_seed"]
 
 _U64 = (1 << 64) - 1
-_CHUNK = 1 << 15  # pairs per chunk: 256 KiB per uniform temporary
+_CHUNK = 1 << 15  # pairs or draws per chunk: 256 KiB per temporary
 
 
 def _tag_hash(tag: str) -> int:
@@ -53,15 +54,6 @@ def _draws_at(key: np.ndarray, pos: int) -> np.random.Generator:
     gen = np.random.Generator(np.random.Philox(key=key, counter=block))
     if skip:
         gen.bit_generator.random_raw(skip)
-    return gen
-
-
-def _halves_at(key: np.ndarray, half: int) -> np.random.Generator:
-    """A generator whose next 32-bit draw is half ``half`` of the stream keyed
-    ``key``: the low half of draw half // 2 if even, else its high half."""
-    gen = _draws_at(key, half // 2)
-    if half % 2:
-        gen.integers(0, 2)  # draws the low half and stashes the high one
     return gen
 
 
@@ -137,27 +129,42 @@ class Stream:
         return out[:m]
 
     def rademacher(self, size: int) -> np.ndarray:
-        """i.i.d. -1.0 or 1.0; each sign consumes one 32-bit half of the stream."""
+        """i.i.d. -1.0 or 1.0, two signs per 64-bit draw of the stream.
+
+        Sign 2i is bit 31 of draw i and sign 2i + 1 is bit 63, the top bits
+        of its low and high 32-bit halves: what ``integers(0, 2)`` returns
+        half by half, low half first. A 32-bit half that an earlier draw left
+        stashed is the first sign, and after an odd count the last draw's
+        high half is left stashed for the next 32-bit draw.
+        """
         m = int(size)
-        if m <= 2 * _CHUNK:
-            bits = self._gen.integers(0, 2, size=m)
-            return _signs(bits, np.empty(m))
         out = np.empty(m)
         state, start = self._tell()
-        # a stashed 32-bit half, whatever draw it came from, is the first sign
-        lead = state["has_uint32"]
+        held = state["has_uint32"]
+        lead = min(held, m)
         if lead:
-            _signs(self._gen.integers(0, 2, size=1), out[:1])
+            _signs(np.uint32(state["uinteger"]) >> 31, out[:1])
         rest = out[lead:]
+        words = (rest.size + 1) // 2
 
         def chunk(c):
-            a, b = c * 2 * _CHUNK, min((c + 1) * 2 * _CHUNK, rest.size)
-            _signs(_halves_at(self._key, 2 * start + a).integers(0, 2, size=b - a), rest[a:b])
+            # chunk 0 draws from the stream's own generator, which is at draw start
+            a, b = c * _CHUNK, min((c + 1) * _CHUNK, words)
+            gen = _draws_at(self._key, start + a) if c else self._gen
+            raw = gen.bit_generator.random_raw(b - a)
+            dst = rest[2 * a:2 * b]
+            _signs(raw.astype("<u8", copy=False).view("<u4")[:dst.size] >> 31, dst)
+            return gen, int(raw[-1])
 
-        fan_out(chunk, range(-(-rest.size // (2 * _CHUNK))))
-        end = _halves_at(self._key, 2 * start + rest.size - 1)
-        end.integers(0, 2)
-        self._gen.bit_generator.state = end.bit_generator.state
+        ends = fan_out(chunk, range(-(-words // _CHUNK)))
+        if ends:
+            # the last chunk's generator is where a serial draw would leave the stream
+            gen, last = ends[-1]
+            state = gen.bit_generator.state
+            state["uinteger"] = last >> 32
+        # the halves held: the stash, plus two per draw, less one per sign
+        state["has_uint32"] = held + 2 * words - m
+        self._gen.bit_generator.state = state
         return out
 
     def integers(self, low: int, high: int, size=None):

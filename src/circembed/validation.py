@@ -50,7 +50,6 @@ __all__ = [
     "run_gate_suite",
 ]
 
-_DENSE_EIG_LIMIT = 512  # above this, spectral norms switch to power iteration
 _SPAN_TOL = 1e-12
 
 
@@ -314,41 +313,13 @@ def _i_theta(k: int, theta: float) -> np.ndarray:
     return out
 
 
-def _power_iteration(A: np.ndarray, v0: Optional[np.ndarray] = None, tol: float = 1e-8, max_iter: int = 10000) -> float:
-    """Largest |eigenvalue| of a symmetric matrix by norm growth."""
-    m = A.shape[0]
-    if v0 is None:
-        v = np.ones(m) / math.sqrt(m)
-    else:
-        nv = np.linalg.norm(v0)
-        if nv == 0.0:
-            raise ValueError("start vector must be nonzero")
-        v = v0 / nv
-    last = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - last) <= tol * max(nw, 1e-30):
-            return nw
-        last = nw
-    return last
-
-
-def _sym_spectral_norm(A: np.ndarray, v0: Optional[np.ndarray] = None) -> float:
-    if A.shape[0] <= _DENSE_EIG_LIMIT:
-        return float(np.abs(np.linalg.eigvalsh(A)).max())
-    return _power_iteration(A, v0)
-
-
-def conditioning_sample(x, y, r, S, theta: Optional[float] = None, v0=None) -> float:
+def conditioning_sample(x, y, r, S, theta: Optional[float] = None) -> float:
     """sigma_max(M^T M - I_theta) for one draw of (r, S).
 
     M has 2k columns: the modulated shifts of x at the rows S, then the same
     shifts of y. I_theta is the ideal Gram matrix, identity blocks with
-    cos(theta*pi) off-diagonal blocks.
+    cos(theta*pi) off-diagonal blocks. The norm is the largest |eigenvalue|
+    of the symmetric difference, from ``eigvalsh``.
     """
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
@@ -359,7 +330,7 @@ def conditioning_sample(x, y, r, S, theta: Optional[float] = None, v0=None) -> f
     k = Sv.size
     cols = np.concatenate([_shift_rows(rv * xv, Sv), _shift_rows(rv * yv, Sv)], axis=0)
     G = cols @ cols.T  # (2k, 2k) Gram of the columns of M
-    return _sym_spectral_norm(G - _i_theta(k, theta), v0)
+    return float(np.abs(np.linalg.eigvalsh(G - _i_theta(k, theta))).max())
 
 
 @_blas.one_thread()
@@ -376,8 +347,7 @@ def conditioning_experiment(x, y, k: int, trials: int, seed: int, threads: int =
         st = Rng(trial_seed)
         r = st.stream("r").normals(n)
         S = st.stream("S").index_subset(n, k)
-        v0 = st.stream("power").normals(2 * k) if 2 * k > _DENSE_EIG_LIMIT else None
-        return conditioning_sample(xv, yv, r, S, theta, v0)
+        return conditioning_sample(xv, yv, r, S, theta)
 
     samples = tuple(_run_trials(run_trial, trials, seed, threads))
     return ConditioningReport(

@@ -68,6 +68,14 @@ def test_angular_triangle_inequality():
         assert dxz <= dxy + dyz + 1e-12
 
 
+def test_angular_distance_is_the_pairwise_angle_formula():
+    # one formula for every angle: a single pair gives the bits of _angles
+    s = Stream(43, "one-formula")
+    for _ in range(2000):
+        x, y = random_unit(s, 32), random_unit(s, 32)
+        assert angular_distance(x, y) == float(geometry._angles(np.dot(x, y)))
+
+
 def test_angular_clamps_rounding_overshoot():
     # dot of a vector with itself can sit an ulp off 1; must not raise or go NaN
     v = unit(np.full(7, 1.0) + 1e-16)

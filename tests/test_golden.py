@@ -114,11 +114,11 @@ MODULATION_DIGESTS = {
 }
 
 # k -> sha256 of the 3 samples of conditioning_experiment on a Gaussian
-# unit pair at n=512, rounded; k=300 takes the power-iteration path
+# unit pair at n=512, rounded; k=300 pins a 600 x 600 eigvalsh
 CONDITIONING_DIGESTS = {
     8: "1ce5480bec283861a7d080aab0cb4aebc1dfe5875ddff3a12cff779754b4d32c",
     128: "23b005d4439ba4c9cabd6f352d7dbf4494404e62ff97414c7e69d775e0ae463a",
-    300: "c73e2feb494c7558dccb8377409edb91acc75db94df428aa8c8d7092010ba92a",
+    300: "7ae74cca032b61620229374ab958a2aaea2e3c1a32bd267385361e418f39ede7",
 }
 
 # (n, k, y is x) -> sha256 of per_trial_max_col + per_trial_P_norm +

@@ -7,11 +7,10 @@ from circembed import validation
 from circembed.embedders import embed_points, sample_operator
 from circembed.geometry import PointSet, angular_distance, coherence, hamming_normalized
 from circembed.io import generate_pointset
-from circembed.rng import Stream, derive_seed
+from circembed.rng import Rng, Stream, derive_seed
 from circembed.transforms import _shift_rows, fwht, hadamard_matrix
 from circembed.validation import (
     _decomposition_loop,
-    _power_iteration,
     check_condition1,
     conditioning_experiment,
     conditioning_sample,
@@ -246,14 +245,21 @@ def test_conditioning_improves_when_coherence_halves():
     assert medians[1] <= medians[0]
 
 
-def test_power_iteration_matches_dense_eigensolver():
-    s = Stream(8, "power")
-    B = s.normals(40 * 40).reshape(40, 40)
-    A = B + B.T
-    want = float(np.abs(np.linalg.eigvalsh(A)).max())
-    v0 = s.normals(40)
-    got = _power_iteration(A, v0)
-    assert got == pytest.approx(want, rel=1e-6)
+def test_conditioning_sample_is_the_exact_spectral_norm():
+    # at k=300 the Gram is 600 x 600; the sample must be the dense
+    # eigensolver's value at that size too, not an iterative estimate
+    n, k, seed = 512, 300, 31
+    v = Stream(9, "exact").normals(2 * n).reshape(2, n)
+    x, y = v / np.linalg.norm(v, axis=1, keepdims=True)
+    got = conditioning_experiment(x, y, k, 1, seed).samples[0]
+    st = Rng(derive_seed(seed, "trial:0"))
+    r = st.stream("r").normals(n)
+    S = st.stream("S").index_subset(n, k)
+    cols = np.concatenate([_shift_rows(r * x, S), _shift_rows(r * y, S)])
+    c = math.cos(angular_distance(x, y) * math.pi)
+    I_theta = np.eye(2 * k) + c * (np.eye(2 * k, k=k) + np.eye(2 * k, k=-k))
+    want = float(np.abs(np.linalg.eigvalsh(cols @ cols.T - I_theta)).max())
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------- modulation
