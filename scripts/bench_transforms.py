@@ -24,7 +24,9 @@ A seventh times the samplers: normals and rademacher from a fresh stream at
 each drawing normals 2^20 at the same time (both fan out over the one
 worker pool), index_subset at (n, k) = (256, 128) and (2^20, 256), and
 deserialize_operator of a randomized BEOP1 record at n=10^6, k=256, which
-replays all three.
+replays all three. An eighth times np.dot of two 2^20 vectors followed at
+once by a randomized embed at 2^20: the dot runs on every BLAS thread, whose
+OpenBLAS workers then spin for a while, and the embed runs in that window.
 The header is the output of ``circembed info``: numpy, the BLAS build, its
 thread count, whether reports pin it to one thread and the worker threads.
 
@@ -207,6 +209,19 @@ def build_sampler_cases(seed: int):
     return cases
 
 
+def build_window_cases(seed: int):
+    n = 1 << 20
+    op = sample_randomized_operator(n, 256, seed)
+    x = Stream(seed, "window:x").normals(n)
+    y = Stream(seed, "window:y").normals(n)
+
+    def dot_then_embed():
+        np.dot(x, y)
+        embed(op, x)
+
+    return [("np.dot then embed randomized 2^20", dot_then_embed)]
+
+
 def build_suite_cases(seed: int):
     threads = os.cpu_count() or 1
     return [(f"gate suite threads={threads}", lambda: run_gate_suite(seed, quick=True, threads=threads))]
@@ -285,6 +300,7 @@ def main() -> int:
             ("text readers, N=1000 (one call per repeat):", build_codec_cases(args.seed, tmp), 1),
             ("quick gate suite (one call per repeat):", build_suite_cases(args.seed), 1),
             ("samplers, from a fresh stream:", build_sampler_cases(args.seed), args.calls),
+            ("embed right after an unpinned BLAS call:", build_window_cases(args.seed), args.calls),
         ):
             print()
             print(title)

@@ -18,6 +18,7 @@ from .embedders import (
     embed,
     embed_points,
     materialize_operator,
+    read_operator_record,
     sample_circulant_operator,
     sample_gaussian_operator,
     sample_operator,

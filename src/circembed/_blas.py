@@ -6,6 +6,19 @@ Monte Carlo runs are computed under ``one_thread``: their bytes then do not
 depend on the core count or on ``OPENBLAS_NUM_THREADS``, and the cores are
 left to the trial threads instead of a second pool inside every product.
 
+Circulant and randomized projections of rows of at least
+``embedders._FAN_MIN`` entries also run under ``one_thread``, for speed: they
+fan their transforms out over the worker pool, and OpenBLAS threads woken by
+a multi-threaded BLAS call spin on the cores for about 137 ms after it
+returns. On 2 vCPUs, a randomized embed at 2^20 took 30-33 ms pinned against
+42-45 ms unpinned when embeds were 150 ms apart, but 38-47 ms against 30-42
+ms right after an unpinned BLAS call, whose workers were still spinning.
+The banded products keep the bits of one call on the OpenBLAS build they
+were checked on (SkylakeX kernels), because every band starts at a multiple
+of ``transforms._BAND_ALIGN``. Another build may tile a narrow band with
+another kernel; ``test_banded_fwht_has_the_bits_of_one_call`` in
+``tests/test_transforms.py`` is the check that finds that on a new machine.
+
 The count is a setting of the whole process. ``one_thread`` nests and may be
 entered from several threads at once: the outermost entry saves the count and
 sets it to one, and the last exit puts the saved count back. While it is held,

@@ -31,8 +31,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _blas, _pool, rng
-from .embedders import KINDS, R_DISTS, deserialize_operator, embed_points, sample_operator, serialize_operator
+from . import _blas, _pool, embedders, rng
+from .embedders import (
+    KINDS,
+    R_DISTS,
+    CirculantOperator,
+    GaussianOperator,
+    RandomizedOperator,
+    embed_points,
+    read_operator_record,
+    sample_operator,
+    serialize_operator,
+)
 from .errors import ParseError
 from .geometry import coherence
 from .io import (
@@ -82,16 +92,23 @@ def cmd_embed(args) -> int:
     return 0
 
 
+_CLASS_NAMES = {cls.kind: cls.__name__ for cls in (GaussianOperator, CirculantOperator, RandomizedOperator)}
+
+
 def cmd_eval(args) -> int:
     ps = load_pointset(args.pointset)
     if args.codes:
         codes = load_codes(args.codes)
         op_echo = {"codes": str(args.codes)}
         if args.operator:
-            op = deserialize_operator(Path(args.operator).read_bytes())
+            # the record's fields are checked against the inputs, never sampled
+            kind, n, k, seed = read_operator_record(Path(args.operator).read_bytes())
+            if (n, k) != (ps.n, codes.shape[1]):
+                raise ValueError(f"operator {args.operator} is for n={n}, k={k}, but the point set has "
+                                 f"n={ps.n} and the codes k={codes.shape[1]}")
             op_echo["operator"] = str(args.operator)
-            op_echo["operator_seed"] = op.seed
-            op_echo["operator_kind"] = type(op).__name__
+            op_echo["operator_seed"] = seed
+            op_echo["operator_kind"] = _CLASS_NAMES[kind]
         report = evaluate_codes(ps, codes, delta_target=args.delta)
     else:
         if args.kind is None or args.k is None:
@@ -226,8 +243,9 @@ def cmd_info(args) -> int:
         print("one-thread pin: unavailable (reports run on the BLAS thread count in effect, "
               "and their last bits may depend on it)")
     print("fwht: numpy (BLAS matmul)")
-    print(f"worker threads: {_pool.WORKERS} (Monte Carlo trials and draws of more than "
-          f"{2 * rng._CHUNK} values; the values do not depend on this)")
+    print(f"worker threads: {_pool.WORKERS} (Monte Carlo trials, draws of more than {2 * rng._CHUNK} "
+          f"values and the transforms of rows of at least {embedders._FAN_MIN} entries; "
+          f"the values do not depend on this, for the transforms on the BLAS builds tested)")
     return 0
 
 
@@ -271,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="all-pairs distortion report")
     p.add_argument("--pointset", required=True)
     p.add_argument("--codes", default=None, help="codes CSV written by embed")
-    p.add_argument("--operator", default=None, help="operator sidecar, echoed into the report")
+    p.add_argument("--operator", default=None, help="operator sidecar, checked against the point set and codes and echoed into the report")
     p.add_argument("--kind", default=None, choices=KINDS)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--r-dist", default="gaussian", choices=R_DISTS)

@@ -27,9 +27,10 @@ from typing import Union
 
 import numpy as np
 
+from . import _blas, _pool
 from .errors import ParseError
 from .rng import Rng
-from .transforms import _correlate, _CorrelationPlan, _fwht_inplace, _shift_rows, hadamard_matrix
+from .transforms import _correlate, _CorrelationPlan, _each_band, _fwht_inplace, _shift_rows, hadamard_matrix
 
 __all__ = [
     "KINDS",
@@ -46,6 +47,7 @@ __all__ = [
     "embed_points",
     "materialize_operator",
     "serialize_operator",
+    "read_operator_record",
     "deserialize_operator",
 ]
 
@@ -168,9 +170,31 @@ def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length()
 
 
-def sample_gaussian_operator(n: int, k: int, seed: int) -> GaussianOperator:
-    if n < 1 or k < 1:
+def _check_shape(kind: str, n: int, k: int) -> None:
+    """Raise ValueError unless (n, k) is a valid shape for an operator of ``kind``."""
+    if kind == "gaussian" and (n < 1 or k < 1):
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    if kind == "circulant" and not 1 <= k <= n:
+        raise ValueError(f"circulant operator requires 1 <= k <= n, got k={k}, n={n}")
+    if kind == "randomized":
+        if n < 1:
+            raise ValueError(f"need n >= 1, got n={n}")
+        if not 1 <= k <= _next_pow2(n):
+            raise ValueError(f"randomized operator requires 1 <= k <= n_pad={_next_pow2(n)}, got k={k}")
+
+
+def _check_params(kind: str, n: int, k: int) -> None:
+    """Raise ValueError unless ``sample_operator(kind, n, k, ...)`` may draw."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}; expected one of {', '.join(KINDS)}")
+    entries = {"gaussian": k * n, "circulant": n, "randomized": _next_pow2(n)}[kind]
+    if entries > _MAX_ENTRIES:
+        raise ValueError(f"a {kind} operator with n={n}, k={k} has {entries} entries, over the cap of {_MAX_ENTRIES}")
+    _check_shape(kind, n, k)
+
+
+def sample_gaussian_operator(n: int, k: int, seed: int) -> GaussianOperator:
+    _check_shape("gaussian", n, k)
     seed = int(seed) & _U64
     g = Rng(seed).stream("gaussian:G").normals(k * n)
     # draw order is row-major: entry (i, j) is draw i*n + j
@@ -186,8 +210,7 @@ def _sample_r(rng: Rng, n: int, r_dist: str) -> np.ndarray:
 
 
 def sample_circulant_operator(n: int, k: int, seed: int, r_dist: str = "gaussian") -> CirculantOperator:
-    if not 1 <= k <= n:
-        raise ValueError(f"circulant operator requires 1 <= k <= n, got k={k}, n={n}")
+    _check_shape("circulant", n, k)
     seed = int(seed) & _U64
     rng = Rng(seed)
     h = rng.stream("circulant:h").normals(n)
@@ -197,12 +220,9 @@ def sample_circulant_operator(n: int, k: int, seed: int, r_dist: str = "gaussian
 
 
 def sample_randomized_operator(n: int, k: int, seed: int, r_dist: str = "gaussian") -> RandomizedOperator:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+    _check_shape("randomized", n, k)
     seed = int(seed) & _U64
     n_pad = _next_pow2(n)
-    if not 1 <= k <= n_pad:
-        raise ValueError(f"randomized operator requires 1 <= k <= n_pad={n_pad}, got k={k}")
     inner = sample_circulant_operator(n_pad, k, seed, r_dist=r_dist)
     b = Rng(seed).stream("randomized:b").rademacher(n_pad)
     return RandomizedOperator(inner=inner, b=b, n_orig=n, seed=seed)
@@ -215,11 +235,7 @@ def sample_operator(kind: str, n: int, k: int, seed: int, r_dist: str = "gaussia
     take only the default. An operator of more than ``_MAX_ENTRIES`` float64
     entries is refused before anything is drawn.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}; expected one of {', '.join(KINDS)}")
-    entries = {"gaussian": k * n, "circulant": n, "randomized": _next_pow2(n)}[kind]
-    if entries > _MAX_ENTRIES:
-        raise ValueError(f"a {kind} operator with n={n}, k={k} has {entries} entries, over the cap of {_MAX_ENTRIES}")
+    _check_params(kind, n, k)
     # called by their module-level names, so that a wrapper bound to one of
     # those names (the perfbench tracer installs such wrappers) sees the call
     if kind == "gaussian":
@@ -230,6 +246,18 @@ def sample_operator(kind: str, n: int, k: int, seed: int, r_dist: str = "gaussia
         return sample_circulant_operator(n, k, seed, r_dist=r_dist)
     return sample_randomized_operator(n, k, seed, r_dist=r_dist)
 
+
+# From this row length on, the transforms of a projection fan out over the
+# worker pool (_project). Median ms of an embed, serial -> fanned, over four
+# interleaved runs of 15 embeds each, on 2 vCPUs with numpy 2.4.6:
+#
+#   n           2^16        2^17        2^18         2^19          2^20
+#   circulant   2.2 -> 2.6  3.4 -> 3.4   7.6 -> 7.5  20.0 -> 14.0  35.7 -> 26.0
+#   randomized  2.1 -> 3.6  5.0 -> 4.3  10.3 -> 8.0  19.4 -> 15.4  44.1 -> 31.3
+#
+# Below 2^18 a row's phases fit the L2 cache and the fan-out costs about
+# what it saves, or more.
+_FAN_MIN = 1 << 18
 
 # Rows are projected in blocks of about this many input entries, so the
 # temporaries of one block stay cache-sized and memory does not grow with
@@ -243,14 +271,14 @@ def _row_blocks(N: int, width: int) -> list:
     return [slice(i, i + step) for i in range(0, N, step)]
 
 
-def _hadamard_mix(P: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _hadamard_mix(P: np.ndarray, b: np.ndarray, width: int = 1) -> np.ndarray:
     """Unnormalized H diag(b) applied to each row of P, zero-padded to len(b).
 
     Returns a fresh (N, len(b)) array; the transform runs in place on it.
     """
     w = np.zeros((P.shape[0], b.size))
     np.multiply(P, b[: P.shape[1]], out=w[:, : P.shape[1]])
-    _fwht_inplace(w)
+    _fwht_inplace(w, width)
     return w
 
 
@@ -260,17 +288,32 @@ def _sign(t: np.ndarray) -> np.ndarray:
 
 
 def _project(op: Operator, P: np.ndarray) -> np.ndarray:
-    """Projections of the rows of an (N, n_in) block: an (N, k) array."""
+    """Projections of the rows of an (N, n_in) block: an (N, k) array.
+
+    Circulant and randomized rows of at least _FAN_MIN entries run their
+    transforms over the worker pool, with BLAS pinned to one thread
+    meanwhile: a multi-threaded BLAS call would wake OpenBLAS threads that
+    go on spinning on the pool's cores after it returns. The bits are those
+    of the serial path.
+    """
     if isinstance(op, GaussianOperator):
         return P @ op.G.T
+    circ = op.inner if isinstance(op, RandomizedOperator) else op
+    if not isinstance(circ, CirculantOperator):
+        raise TypeError(f"not an operator: {type(op).__name__}")
+    if circ.n < _FAN_MIN:
+        return _project_structured(op, P, 1)
+    with _blas.one_thread():
+        return _project_structured(op, P, _pool.WORKERS)
+
+
+def _project_structured(op: Union[CirculantOperator, RandomizedOperator], P: np.ndarray, width: int) -> np.ndarray:
     if isinstance(op, CirculantOperator):
-        return _correlate(op._plan, P * op.r)
-    if isinstance(op, RandomizedOperator):
-        # the unitary 1/sqrt(n) scale of the transform lives in _r_scaled
-        w = _hadamard_mix(P, op.b)
-        w *= op._r_scaled
-        return _correlate(op.inner._plan, w)
-    raise TypeError(f"not an operator: {type(op).__name__}")
+        return _correlate(op._plan, P * op.r, width)
+    # the unitary 1/sqrt(n) scale of the transform lives in _r_scaled
+    w = _hadamard_mix(P, op.b, width)
+    w *= op._r_scaled
+    return _correlate(op.inner._plan, w, width)
 
 
 def _codes(op: Operator, P: np.ndarray) -> np.ndarray:
@@ -342,7 +385,10 @@ def serialize_operator(op: Operator) -> bytes:
     return _MAGIC + bytes([KINDS.index(op.kind)]) + struct.pack("<QQQ", op.n_in, op.k, op.seed & _U64)
 
 
-def deserialize_operator(data: bytes) -> Operator:
+def read_operator_record(data: bytes) -> tuple[str, int, int, int]:
+    """The (kind, n, k, seed) of a BEOP1 record, with every check that
+    ``deserialize_operator`` makes, the cap on entries included. Draws nothing.
+    """
     if len(data) < len(_MAGIC) or bytes(data[:5]) != _MAGIC:
         raise ParseError(f"bad magic {bytes(data[:5])!r}, expected {_MAGIC!r}", 0)
     if len(data) < 6:
@@ -356,6 +402,12 @@ def deserialize_operator(data: bytes) -> Operator:
         raise ParseError(f"trailing bytes after {_RECORD_LEN}-byte record", _RECORD_LEN)
     n, k, seed = struct.unpack("<QQQ", data[6:_RECORD_LEN])
     try:
-        return sample_operator(KINDS[kind], n, k, seed)
+        _check_params(KINDS[kind], n, k)
     except ValueError as e:
         raise ParseError(f"invalid operator parameters n={n}, k={k}: {e}", 6) from e
+    return KINDS[kind], n, k, seed
+
+
+def deserialize_operator(data: bytes) -> Operator:
+    """The operator of a BEOP1 record (``read_operator_record``), sampled again from its seed."""
+    return sample_operator(*read_operator_record(data))

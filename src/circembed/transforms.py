@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
+
 __all__ = [
     "IndexSet",
     "shift",
@@ -95,7 +97,38 @@ def _factor_orders(p: int) -> list[int]:
     return [p // q + (j < p % q) for j in range(q)]
 
 
-def _fwht_inplace(a: np.ndarray) -> None:
+# A band of the rows or columns of one product starts at a multiple of this.
+# BLAS tiles the product in blocks of a few rows and columns, and forms a
+# ragged edge with another kernel; an edge inside the product would change
+# the last bits of the entries along it. Unaligned cuts at 2^18 on 12
+# workers did. 64 was found on one OpenBLAS build (SkylakeX kernels); the
+# banded-bits tests of tests/test_transforms.py check it on other machines.
+_BAND_ALIGN = 64
+
+
+def _bands(size: int, count: int, align: int = 1) -> list:
+    """Up to ``count`` near-equal slices that cover range(size) in order,
+    each starting at a multiple of ``align``."""
+    step = -(-size // max(1, min(count, size)))
+    step = -(-step // align) * align
+    return [slice(i, i + step) for i in range(0, size, step)]
+
+
+def _each_band(fn, size: int, width: int, align: int = 1) -> None:
+    """fn(i) for the bands i of ``_bands(size, width, align)``, over
+    ``_pool.fan_out``; with width 1, one fn(slice(None)) on this thread.
+
+    The serial path skips ``_bands`` and ``fan_out``: for the short rows of
+    most embeds, their few microseconds per call made a randomized embed at
+    n=1000 about a third slower.
+    """
+    if width == 1:
+        fn(slice(None))
+    else:
+        _pool.fan_out(fn, _bands(size, width, align), width)
+
+
+def _fwht_inplace(a: np.ndarray, width: int = 1) -> None:
     """Unnormalized Walsh-Hadamard transform along the last axis, in place.
 
     ``a`` is a C-contiguous float64 array whose last axis has power-of-2
@@ -104,6 +137,11 @@ def _fwht_inplace(a: np.ndarray) -> None:
     H_{m_q} for a few factors of order m_j <= 2^6, each vector is viewed as
     a (left, m_j, right) block array in turn and multiplied by H_{m_j} in
     one BLAS matmul. The cost is n * sum(m_j) multiply-adds in q passes.
+
+    With ``width`` > 1, each pass is cut into that many bands along
+    ``left`` (along ``right`` when ``left`` is smaller) that run over
+    ``_pool.fan_out``. Every output entry is then computed by the same
+    product over the same inputs, so the bits do not change.
 
     The products sum in another order than a radix-2 butterfly, so results
     can differ from one in the last bits, and BLAS may order a batch of
@@ -118,12 +156,20 @@ def _fwht_inplace(a: np.ndarray) -> None:
     for j, pj in enumerate(orders):
         m, right = 1 << pj, right >> pj
         dst = a if (len(orders) - j) % 2 else scratch
+        H = _factor(pj)
         if right == 1:
             # the innermost factor as one (rows, m) @ (m, m) product, not a
             # matrix-vector product per block
-            np.matmul(src.reshape(-1, m), _factor(pj), out=dst.reshape(-1, m))
+            s, d = src.reshape(-1, m), dst.reshape(-1, m)
+            _each_band(lambda i: np.matmul(s[i], H, out=d[i]), s.shape[0], width, _BAND_ALIGN)
         else:
-            np.matmul(_factor(pj), src.reshape(-1, m, right), out=dst.reshape(-1, m, right))
+            s, d = src.reshape(-1, m, right), dst.reshape(-1, m, right)
+            if s.shape[0] >= width:
+                # each of the left blocks is a product of its own, so a cut
+                # between two of them needs no alignment
+                _each_band(lambda i: np.matmul(H, s[i], out=d[i]), s.shape[0], width)
+            else:
+                _each_band(lambda i: np.matmul(H, s[..., i], out=d[..., i]), right, width, _BAND_ALIGN)
         src = dst
 
 
@@ -209,20 +255,34 @@ class _CorrelationPlan:
         self.col = S % A
 
 
-def _correlate(plan: _CorrelationPlan, x: np.ndarray) -> np.ndarray:
-    # cross-correlation diagonalizes as fh * conj(fx); see _CorrelationPlan
+def _correlate(plan: _CorrelationPlan, x: np.ndarray, width: int = 1) -> np.ndarray:
+    # cross-correlation diagonalizes as fh * conj(fx); see _CorrelationPlan.
+    # With width > 1, the split path's two FFT phases each run over
+    # _pool.fan_out in that many bands, of columns and then of rows; every
+    # band makes the same calls on its part of the arrays, so the bits do
+    # not change.
     n = x.shape[-1]
     if not plan.split:
         out = np.fft.irfft(plan.fh * np.fft.rfft(x).conj(), n)
         return out if plan.S is None else out.take(plan.S, axis=-1)
     B, A = _SPLIT_ROWS, n // _SPLIT_ROWS
-    T = np.fft.rfft(x.reshape(-1, B, A), axis=1)
+    X = x.reshape(-1, B, A // B, B)  # entry (j2, hi, lo) is x[lo + B hi + A j2]
+    T = np.empty((X.shape[0], B // 2 + 1, A), dtype=complex)
     parts = T.reshape(T.shape[0], T.shape[1], A // B, B)
-    parts *= plan.tw_lo[:, None, :]
-    parts *= plan.tw_hi[:, :, None]
-    np.fft.fft(T, axis=2, out=T)  # entry (m2, m1) is X[m2 + B m1]
-    T *= plan.spec
-    np.fft.fft(T, axis=2, out=T)
+
+    def columns(i):
+        np.fft.rfft(X[:, :, i], axis=1, out=parts[:, :, i])
+        parts[:, :, i] *= plan.tw_lo[:, None, :]
+        parts[:, :, i] *= plan.tw_hi[:, i, None]
+
+    def rows(i):
+        t = T[:, i]
+        np.fft.fft(t, axis=2, out=t)  # entry (m2, m1) is X[m2 + B m1]
+        t *= plan.spec[i]
+        np.fft.fft(t, axis=2, out=t)
+
+    _each_band(columns, A // B, width)
+    _each_band(rows, T.shape[1], width)
     out = np.einsum("rhk,hk->rk", T[:, :, plan.col], plan.E).real
     return out.reshape(x.shape[:-1] + (plan.S.size,))
 

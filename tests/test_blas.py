@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import circembed
-from circembed import _blas, validation
+from circembed import _blas, embedders, validation
+from circembed.embedders import embed, sample_operator
 from circembed.io import generate_pointset
 from circembed.validation import (
     conditioning_experiment,
@@ -128,6 +129,25 @@ def test_evaluate_codes_runs_on_one_blas_thread_and_restores_it(two_blas_threads
 
 class _Stop(Exception):
     pass
+
+
+@needs_pin
+@pytest.mark.parametrize("kind", ["circulant", "randomized"])
+def test_fanned_embed_runs_on_one_blas_thread_and_restores_it(kind, two_blas_threads, monkeypatch):
+    op = sample_operator(kind, embedders._FAN_MIN, 16, 3)
+    embed(op, np.ones(op.n_in))
+    assert _blas.thread_count() == 2
+    seen = []
+
+    def spy(*args):
+        seen.append(_blas.thread_count())
+        raise _Stop
+
+    monkeypatch.setattr(embedders, "_correlate", spy)
+    with pytest.raises(_Stop):
+        embed(op, np.ones(op.n_in))
+    assert seen == [1]
+    assert _blas.thread_count() == 2
 
 
 @needs_pin

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +187,23 @@ def test_eval_operator_record_over_the_cap_is_io_error(tmp_path, monkeypatch):
     monkeypatch.setattr(embedders, "_MAX_ENTRIES", 32 * 8 - 1)
     assert run("eval", "--pointset", pts, "--codes", codes, "--operator", f"{codes}.beop",
                "--out", tmp_path / "r.json") == 3
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_operator_record_for_other_inputs_is_usage_error_and_writes_nothing(tmp_path):
+    pts = gen_pointset(tmp_path, n=64, N=5)
+    codes = tmp_path / "c.csv"
+    assert run("embed", "--pointset", pts, "--kind", "circulant", "--k", 16, "--out", codes) == 0
+    sidecar = (tmp_path / "c.csv.beop").read_bytes()
+    fields = {"n=k=2^22": (1 << 22, 1 << 22), "k=3": (64, 3), "n=32": (32, 16)}
+    for name, (n, k) in fields.items():
+        record = tmp_path / f"{name}.beop"
+        record.write_bytes(sidecar[:6] + struct.pack("<QQ", n, k) + sidecar[22:])
+        t0 = time.perf_counter()
+        # the record is read, never sampled: 2^22 entries would take seconds
+        assert run("eval", "--pointset", pts, "--codes", codes, "--operator", record,
+                   "--out", tmp_path / "r.json") == 2
+        assert time.perf_counter() - t0 < 1.0, name
     assert not (tmp_path / "r.json").exists()
 
 
@@ -380,7 +398,9 @@ def test_info_prints_numpy_blas_and_fwht(tmp_path, capsys, monkeypatch):
     assert lines[2] == f"blas threads: {'unknown' if count is None else count}"
     assert lines[3].startswith("one-thread pin: available" if _blas.pin_available() else "one-thread pin: unavailable")
     assert lines[4] == "fwht: numpy (BLAS matmul)"
-    assert lines[5].startswith(f"worker threads: {os.cpu_count() or 1} (Monte Carlo trials and draws of more than 65536 values; ")
+    assert lines[5] == (f"worker threads: {os.cpu_count() or 1} (Monte Carlo trials, draws of more than 65536 values "
+                        "and the transforms of rows of at least 262144 entries; the values do not depend on this, "
+                        "for the transforms on the BLAS builds tested)")
     assert list(tmp_path.iterdir()) == []  # writes no file
 
 

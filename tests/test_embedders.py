@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circembed import embedders
+from circembed import _pool, embedders
 from circembed.embedders import (
     KINDS,
+    _project,
     deserialize_operator,
     embed,
     embed_points,
@@ -16,6 +17,7 @@ from circembed.embedders import (
     sample_gaussian_operator,
     sample_operator,
     sample_randomized_operator,
+    read_operator_record,
     serialize_operator,
 )
 from circembed.errors import ParseError
@@ -187,6 +189,22 @@ def test_embed_points_rejects_a_nan_row_and_a_wrong_width(kind):
         embed_points(op, np.ones((5, 23)))
 
 
+# ---------------------------------------------------- fanned projections
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", [1 << 16, embedders._FAN_MIN, 1 << 20])
+@pytest.mark.parametrize("kind", ["circulant", "randomized"])
+def test_fanned_projection_has_the_bits_of_the_serial_one(kind, n, rows, monkeypatch):
+    op = sample_operator(kind, n - 3 if kind == "randomized" else n, 256, 11)
+    P = Stream(n, "fan").normals(rows * op.n_in).reshape(rows, op.n_in)
+    main = _project(op, P)
+    # on a pool thread every fan-out runs in order on that thread
+    pooled = _pool._pool.submit(_project, op, P).result()
+    monkeypatch.setattr(embedders, "_FAN_MIN", math.inf)  # no fan-out and no pin
+    serial = _project(op, P)
+    assert main.tobytes() == pooled.tobytes() == serial.tobytes()
+
+
 # ------------------------------------------------------------- round trips
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -237,6 +255,15 @@ def test_deserialize_over_the_cap_is_parse_error(monkeypatch):
     with pytest.raises(ParseError, match="over the cap") as ei:
         deserialize_operator(blob)
     assert ei.value.offset == 6
+
+
+def test_read_operator_record_returns_the_fields_and_draws_nothing(monkeypatch):
+    blob = serialize_operator(sample_operator("randomized", 48, 12, 909))
+    monkeypatch.setattr(embedders, "Rng", None)  # any draw would raise
+    assert read_operator_record(blob) == ("randomized", 48, 12, 909)
+    # the largest circulant record under the cap is read at once
+    big = blob[:5] + bytes([1]) + (1 << 26).to_bytes(8, "little") * 2 + blob[22:]
+    assert read_operator_record(big) == ("circulant", 1 << 26, 1 << 26, 909)
 
 
 def test_deserialize_error_offsets():

@@ -127,6 +127,17 @@ def test_split_correlation_matches_shifted_dot_products(p):
     np.testing.assert_allclose(_correlate(plan, X[1]), want[1], atol=1e-9)
 
 
+@pytest.mark.parametrize("width", [2, 3, 12])
+@pytest.mark.parametrize("p", [16, 18])
+def test_banded_correlation_has_the_bits_of_one_call(p, width):
+    n = 1 << p
+    s = Stream(31, f"bands:{n}")
+    h, X = s.normals(n), s.normals(3 * n).reshape(3, n)
+    plan = _CorrelationPlan(h, s.index_subset(n, 64))
+    for x in (X, X[1]):
+        assert _correlate(plan, x, width).tobytes() == _correlate(plan, x).tobytes()
+
+
 # ---------------------------------------------------------------- fwht
 
 def test_fwht_two_point():
@@ -167,6 +178,19 @@ def test_fwht_kernel_transforms_rows_in_place():
     a = v.copy()
     assert _fwht_inplace(a) is None
     np.testing.assert_allclose(a, v @ hadamard_matrix(64) * 8.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [2, 3, 12, 128])
+@pytest.mark.parametrize("p", [6, 7, 13, 18])
+def test_banded_fwht_has_the_bits_of_one_call(p, width):
+    # one, two and four factors, with left both under and over the width;
+    # at 2^18, cuts not aligned to _BAND_ALIGN changed bits at widths 12 and 128
+    for rows in (1, 3):
+        v = Stream(37, f"bands:{p}").normals(rows << p).reshape(rows, 1 << p)
+        a, b = v.copy(), v.copy()
+        _fwht_inplace(a)
+        _fwht_inplace(b, width)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_fwht_involution():
