@@ -31,8 +31,9 @@ The header is the output of ``circembed info``: numpy, the BLAS build, its
 thread count, whether reports pin it to one thread and the worker threads.
 
 ``--json-out PATH`` also records the run as JSON: the ``info`` lines, the
-core count, a sha256 of the timed package's sources and one best-of time
-per table row, in ms (the scaling table gives one row per kernel and size).
+core count, a sha256 of the timed package's sources and, per table row,
+the best time and the time of every repetition, in ms (the scaling table
+gives one row per kernel and size), so a row shows its spread.
 A run is appended to the runs already in PATH, so runs of two source trees
 (say, with PYTHONPATH at a checkout of the parent commit's src) sit side by
 side in one file.
@@ -90,15 +91,15 @@ from circembed.validation import (
 )
 
 
-def time_callable(fn, calls: int, repeats: int) -> float:
-    """Best mean-per-call over several repetitions, in seconds."""
-    best = math.inf
+def time_callable(fn, calls: int, repeats: int) -> list:
+    """Mean time per call of each repetition, in seconds."""
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
-        best = min(best, (time.perf_counter() - t0) / calls)
-    return best
+        times.append((time.perf_counter() - t0) / calls)
+    return times
 
 
 def concurrently(fns) -> None:
@@ -245,7 +246,8 @@ def write_run(path: str, info: list, args, rows: list) -> None:
             runs = json.load(f)["runs"]
     params = {k: v for k, v in vars(args).items() if k != "json_out"}
     runs.append({"info": info, "cores": os.cpu_count(), "source_sha256": source_sha256(),
-                 "args": params, "rows": [{"table": t, "name": n, "ms": ms} for t, n, ms in rows]})
+                 "args": params,
+                 "rows": [{"table": t, "name": n, "ms": min(ms), "repeat_ms": ms} for t, n, ms in rows]})
     with open(path, "w") as f:
         json.dump({"runs": runs}, f, indent=1)
         f.write("\n")
@@ -256,7 +258,7 @@ def main() -> int:
     ap.add_argument("--min-pow", type=int, default=14)
     ap.add_argument("--max-pow", type=int, default=20)
     ap.add_argument("--calls", type=int, default=20, help="calls per measurement")
-    ap.add_argument("--repeats", type=int, default=3, help="repetitions, best kept")
+    ap.add_argument("--repeats", type=int, default=3, help="repetitions, each recorded; the best is printed")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json-out", default=None, metavar="PATH", help="append this run to a JSON file")
     args = ap.parse_args()
@@ -267,7 +269,7 @@ def main() -> int:
     print("\n".join(info))
     print(f"cores: {os.cpu_count()}")
     print()
-    rows = []  # (table, name, best-of ms)
+    rows = []  # (table, name, ms of each repetition)
     fwht(np.ones(2))  # first call outside the timed region
     sizes = [1 << p for p in range(args.min_pow, args.max_pow + 1)]
     names = [name for name, _ in build_cases(sizes[0], args.seed)]
@@ -281,14 +283,15 @@ def main() -> int:
     print(header)
     for name in names:
         row = name.ljust(18)
-        row += "".join(f"{t * 1e3:10.3f}ms " for t in table[name])
+        row += "".join(f"{min(t) * 1e3:10.3f}ms " for t in table[name])
         print(row)
-        rows += [("scaling", f"{name} n=2^{int(math.log2(n))}", t * 1e3) for n, t in zip(sizes, table[name])]
+        rows += [("scaling", f"{name} n=2^{int(math.log2(n))}", [x * 1e3 for x in t])
+                 for n, t in zip(sizes, table[name])]
     print()
     print("per-doubling ratios (near 2.0 is linear):")
     for name in names:
         ts = table[name]
-        ratios = " ".join(f"{ts[i + 1] / ts[i]:5.2f}" for i in range(len(ts) - 1))
+        ratios = " ".join(f"{min(ts[i + 1]) / min(ts[i]):5.2f}" for i in range(len(ts) - 1))
         print(f"  {name.ljust(18)} {ratios}")
     with tempfile.TemporaryDirectory() as tmp:
         for title, cases, calls in (
@@ -306,9 +309,9 @@ def main() -> int:
             print(title)
             for name, fn in cases:
                 fn()
-                ms = time_callable(fn, calls, args.repeats) * 1e3
+                ms = [t * 1e3 for t in time_callable(fn, calls, args.repeats)]
                 rows.append((title.rstrip(":"), name, ms))
-                print(f"  {name.ljust(30)} {ms:10.3f}ms")
+                print(f"  {name.ljust(30)} {min(ms):10.3f}ms")
     if args.json_out:
         write_run(args.json_out, info, args, rows)
     return 0

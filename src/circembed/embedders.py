@@ -283,8 +283,11 @@ def _hadamard_mix(P: np.ndarray, b: np.ndarray, width: int = 1) -> np.ndarray:
 
 
 def _sign(t: np.ndarray) -> np.ndarray:
-    # sgn(0) := +1
-    return np.where(t >= 0.0, 1, -1).astype(np.int8)
+    # sgn(0) := +1, and NaN (an overflowed projection) gives -1: 2 [t >= 0] - 1
+    s = (t >= 0.0).view(np.int8)
+    s += s
+    s -= 1
+    return s
 
 
 def _project(op: Operator, P: np.ndarray) -> np.ndarray:
@@ -317,10 +320,13 @@ def _project_structured(op: Union[CirculantOperator, RandomizedOperator], P: np.
 
 
 def _codes(op: Operator, P: np.ndarray) -> np.ndarray:
-    # min/max reductions catch NaN and Inf without allocating a mask
-    if not (math.isfinite(float(P.min())) and math.isfinite(float(P.max()))):
+    t = _project(op, P)
+    # a NaN or Inf entry makes every projection of its row non-finite, so the
+    # input is scanned only when the projections do not sum to a finite
+    # value; a finite input whose projections overflow keeps its codes
+    if not math.isfinite(np.add.reduce(t, axis=None)) and not np.isfinite(P).all():
         raise ValueError("input contains NaN or Inf")
-    return _sign(_project(op, P))
+    return _sign(t)
 
 
 def embed(op: Operator, x) -> np.ndarray:

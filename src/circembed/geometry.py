@@ -23,7 +23,7 @@ _UNIT_ATOL = 1e-9  # PointSet row invariant
 _PRE_ATOL = 1e-6  # precondition slack for single-vector arguments
 _DUP_TOL = 1e-12  # pairs closer than this count as duplicates
 _EPS = 2.0**-53  # unit roundoff of float64
-_MAX_WAIT = 32  # longest run of rows that skip the pruning bound
+_GRAM_ENTRIES = 1 << 15  # entries of one block of cosines in _coherence
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +155,13 @@ def _coherence(P: np.ndarray) -> CoherenceStats:
     N, n = P.shape
     top = np.abs(P).max(axis=1)
     rho_direct = float(top.max())
-    rho_cross, theta_min = rho_direct, 1.0
-    # differences go through one reused buffer of about _BLOCK_ENTRIES
-    # entries, which stays in cache, instead of a fresh (N - i) x n array per row
-    rows = max(1, _BLOCK_ENTRIES // n)
-    buf = np.empty((min(rows, N), n))
+    # differences go through reused buffers of about _BLOCK_ENTRIES entries
+    # each, which stay in cache, instead of a fresh (N - i) x n array per row
+    rows = min(max(1, _BLOCK_ENTRIES // n), N)
+    buf = np.empty((2, rows, n))
     # A pair (i, j) is skipped when a rigorous upper bound on the ratio its
-    # exact path would compute lies strictly below the running rho_cross, so
-    # it cannot change the maximum. With e = 2^-53, g = n e / (1 - n e),
+    # exact path would compute lies strictly below rho_cross, so it cannot
+    # change the maximum. With e = 2^-53, g = n e / (1 - n e),
     # m = inf norms, s = computed squared norms and c = the computed dot
     # product of rows i and j (any summation order):
     #   ratio <= (1+e)^2 / ((1-e)^2 sqrt(1-g)) * (m_i + m_j) / |d|   (rounding
@@ -174,46 +173,70 @@ def _coherence(P: np.ndarray) -> CoherenceStats:
     # (f m_i + f m_j)^2 < rho^2 L with f = 1 + 2(n+8)e covers the first line
     # and the roundings of the test itself. Both factors are exact in float64
     # and assume n e < 2^-20. A pair with L <= 0 (a near-duplicate) is never
-    # skipped.
+    # skipped. rho_cross only grows, so testing a whole block of pairs
+    # against its value at the start of the block is as rigorous.
     s = np.einsum("ij,ij->i", P, P) * (1.0 - 4 * (n + 2) * _EPS)
     topf = top * (1.0 + 2 * (n + 8) * _EPS)
     # the pairs of the row with the largest inf norm first, so rho_cross starts
     # high (a difference and its negation round to the same magnitudes, so
-    # these ratios are the ones the scan computes); rows then go in index
-    # order, which reuses the cache better than a sorted order. After a row
-    # where the bound kept most pairs, the next `wait` rows skip it, with
-    # `wait` doubling up to _MAX_WAIT while that goes on, so a set it cannot
-    # prune pays little for it.
-    rho_cross = max(rho_cross, _max_ratio_from(P, P[np.argmax(top)], 0, buf))
-    wait, gap = 0, 1
-    for i in range(N - 1):
-        # one full-length matrix-vector product: a blocked one rounds some cosines differently
-        c = P[i + 1 :] @ P[i]
-        theta_min = min(theta_min, float(_angles(c).min()))
-        J = None
-        if wait:
-            wait -= 1
-        else:
-            L = np.multiply(c, -2.0, out=c)
-            L += s[i + 1 :]
-            L += s[i]
-            L *= rho_cross * rho_cross
-            w = topf[i + 1 :] + topf[i]
-            w *= w
-            J = np.flatnonzero(w >= L)
-            if 2 * J.size > L.size:
-                # contiguous slices beat a gather of most of the row
-                J, wait, gap = None, gap, min(2 * gap, _MAX_WAIT)
-            else:
-                gap = 1
-        if J is None:
-            rho_cross = max(rho_cross, _max_ratio_from(P, P[i], i + 1, buf))
-            continue
-        J += i + 1
-        for a in range(0, J.size, rows):
+    # these ratios are the ones the scan computes)
+    rho_cross = max(rho_direct, _max_ratio_from(P, P[np.argmax(top)], 0, buf[0]))
+    # The cosines come in row blocks C = P[a:b] @ P[a:].T of at most about
+    # _GRAM_ENTRIES entries, one matrix product each; the entries j <= i are
+    # set to -inf, which the bound then never keeps.
+    R = max(1, min(_GRAM_ENTRIES // N, N - 1))
+    lower = np.tri(R, dtype=bool)
+    gram, bound = np.empty((2, R * N))
+    keep = np.empty(R * N, dtype=bool)
+    top_cos = np.empty(max(N - 1, 0))  # each row's largest cosine in C
+    for a in range(0, N - 1, R):
+        b = min(a + R, N - 1)
+        m, width = b - a, N - a
+        C = np.matmul(P[a:b], P[a:].T, out=gram[: m * width].reshape(m, width))
+        C[:, :m][lower[:m, :m]] = -np.inf
+        top_cos[a:b] = C.max(axis=1)
+        L = np.multiply(C, -2.0, out=C)
+        L += s[a:]
+        L += s[a:b, None]
+        L *= rho_cross * rho_cross
+        w = np.add(topf[a:], topf[a:b, None], out=bound[: m * width].reshape(m, width))
+        w *= w
+        K = np.greater_equal(w, L, out=keep[: m * width].reshape(m, width))
+        # contiguous slices beat a gather for a row whose bound keeps most pairs
+        dense = 2 * np.count_nonzero(K, axis=1) > np.arange(N - 1 - a, N - 1 - b, -1)
+        for i in (np.flatnonzero(dense) + a).tolist():
+            rho_cross = max(rho_cross, _max_ratio_from(P, P[i], i + 1, buf[0]))
+        K[dense] = False
+        pairs = np.flatnonzero(K)
+        for c in range(0, pairs.size, rows):
+            I, J = np.divmod(pairs[c : c + rows], width)
+            I += a
+            J += a
             # mode="clip" writes straight into buf; the indices are in range
-            D = np.take(P, J[a : a + rows], axis=0, out=buf[: min(rows, J.size - a)], mode="clip")
-            rho_cross = max(rho_cross, _max_ratio(np.subtract(D, P[i], out=D)))
+            D = np.take(P, J, axis=0, out=buf[0, : J.size], mode="clip")
+            E = np.take(P, I, axis=0, out=buf[1, : I.size], mode="clip")
+            rho_cross = max(rho_cross, _max_ratio(np.subtract(D, E, out=D)))
+    # theta_min is the smallest angle of the cosines P[i+1:] @ P[i], one
+    # full-length matrix-vector product per row, and a blocked product rounds
+    # some cosines differently. So only the rows whose top_cos lies within
+    # `gap` of the largest, M, take that product. With e, g and s as above:
+    # a computed dot product of x and y is within g |x||y| of the exact one
+    # in any summation order, so two of them differ by at most 2g |x||y|, and
+    # |x||y| <= max |x|^2 <= (1 + 2^-17) max s. The row of M has a product
+    # cosine c >= M - 2g max|x|^2, and every product cosine of a skipped row
+    # lies below M - gap + 2g max|x|^2, so below c by more than
+    # gap - 4g max|x|^2 > 2^-40 + 3 n e max s; the last term covers the
+    # rounding of gap and of M - gap. arccos has slope at most -1 and numpy's
+    # is within a few ulps (2^-51 each on [0, pi]) of the exact value, much
+    # less than 2^-41, so clipping to [-1, 1] and arccos keep the order and a
+    # skipped row's angles are no smaller than the angle at c. (The clip at
+    # -1 could tie them, but for N >= 3 the largest cosine is at least -1/2,
+    # and N = 2 has one row.)
+    theta_min = 1.0
+    if N > 1:
+        gap = 8 * n * _EPS * float(s.max()) + 2.0**-40
+        for i in np.flatnonzero(top_cos >= top_cos.max() - gap).tolist():
+            theta_min = min(theta_min, float(_angles(P[i + 1 :] @ P[i]).min()))
     return CoherenceStats(rho_direct=rho_direct, rho_cross=rho_cross, theta_min=theta_min)
 
 
@@ -227,15 +250,21 @@ def coherence(ps: PointSet) -> CoherenceStats:
     angular distance, with 1.0 as the single-point sentinel.
 
     The result is exact: every value equals, bit for bit, what a scan of all
-    pairs through the same formulas gives. theta_min comes from one
-    full-length matrix-vector product per row. For rho_cross, the squared
-    norms, the inf norms and those dot products bound each pair's ratio from
-    above, with the rounding of every step accounted for, and a pair whose
-    bound lies below the running maximum is skipped; the rest take the exact
-    difference path. On generic sets (uniform_sphere at n=N=1000) fewer than
-    1% of pairs remain. In the worst case, such as spiky sets where every
-    bound exceeds rho_cross, every pair takes the exact path, at about the
-    cost of a scan without the bound. Memory stays O(N n).
+    pairs through the same formulas gives. The cosines of all pairs come
+    from matrix products over blocks of rows of about 2^15 entries. theta_min
+    is the smallest angle of the cosines of one full-length matrix-vector
+    product per row, which rounds some cosines differently, so that product
+    is taken only for the rows whose largest block cosine comes within a
+    rigorous rounding margin of the largest of all (one or a few rows on
+    generic sets, every row of a tie such as clustered_pairs). For
+    rho_cross, the squared norms, the inf norms and the block cosines bound
+    each pair's ratio from above, with the rounding of every step accounted
+    for, and a pair whose bound lies below the maximum so far is skipped;
+    the rest take the exact difference path. On generic sets
+    (uniform_sphere at n=N=1000) fewer than 1% of pairs remain. In the worst
+    case, such as spiky sets where every bound exceeds rho_cross, every pair
+    takes the exact path, at about the cost of a scan without the bound.
+    Memory stays O(N n).
     """
     return _coherence(ps.points)
 

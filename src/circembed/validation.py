@@ -215,11 +215,17 @@ def distortion_experiment(
     and scan all N(N-1)/2 pairs. success_fraction counts trials whose worst
     pair stayed at or below delta_target.
     """
-    P = ps.points
-    iu, ang = _angular_pairs(P)
+    return _distortion(ps, _angular_pairs(ps.points), kind, k, trials, seed, delta_target, r_dist, threads)
+
+
+def _distortion(ps: PointSet, pairs, kind: str, k: int, trials: int, seed: int, delta_target: float, r_dist: str,
+                threads: int) -> DistortionReport:
+    # distortion_experiment with the pairs and angles of _angular_pairs(ps.points)
+    # given; the caller pins BLAS to one thread
+    iu, ang = pairs
 
     def run_trial(trial_seed: int):
-        codes = embedders.embed_points(embedders.sample_operator(kind, ps.n, k, trial_seed, r_dist), P)
+        codes = embedders.embed_points(embedders.sample_operator(kind, ps.n, k, trial_seed, r_dist), ps.points)
         return _max_mean(np.abs(_hamming_pairs(codes, iu) - ang))
 
     rows = _run_trials(run_trial, trials, seed, threads)
@@ -253,6 +259,7 @@ def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, 
     )
 
 
+@_blas.one_thread()
 def sweep(
     ps: PointSet,
     kind: str,
@@ -267,25 +274,17 @@ def sweep(
 
     Cell seeds are derived from (seed, k, delta), so each cell is its own
     independent experiment and the grid can be refined without disturbing
-    existing cells.
+    existing cells. Each report equals that of ``distortion_experiment``
+    with the cell's arguments; the pair angles are computed once for the grid.
     """
-    reports = []
-    for k in k_values:
-        for d in delta_values:
-            cell_seed = derive_seed(seed, f"cell:k={int(k)}:delta={float(d):.17g}")
-            reports.append(
-                distortion_experiment(
-                    ps,
-                    kind,
-                    int(k),
-                    trials,
-                    cell_seed,
-                    delta_target=float(d),
-                    r_dist=r_dist,
-                    threads=threads,
-                )
-            )
-    return reports
+    cells = [(int(k), float(d)) for k in k_values for d in delta_values]
+    if not cells:
+        return []
+    pairs = _angular_pairs(ps.points)
+    return [
+        _distortion(ps, pairs, kind, k, trials, derive_seed(seed, f"cell:k={k}:delta={d:.17g}"), d, r_dist, threads)
+        for k, d in cells
+    ]
 
 
 # ---------------------------------------------------------------------------

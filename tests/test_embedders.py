@@ -189,6 +189,40 @@ def test_embed_points_rejects_a_nan_row_and_a_wrong_width(kind):
         embed_points(op, np.ones((5, 23)))
 
 
+def _non_finite_input_case(kind, n):
+    # a dense gaussian operator at 2^18 entries keeps k small
+    op = sample_operator(kind, n, 256 if n <= 1000 or kind != "gaussian" else 4, 5)
+    return op, Stream(n, "finite").normals(n)
+
+
+# Non-finite projections of a non-finite input raise RuntimeWarnings before
+# the input is scanned; an overflow of a finite input raises them as before.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1000, 1 << 18, 300_000])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_embed_rejects_nan_and_inf_at_every_position(kind, n):
+    op, x = _non_finite_input_case(kind, n)
+    for value in (np.nan, np.inf, -np.inf):
+        for pos in (0, n // 2, n - 1):
+            bad = x.copy()
+            bad[pos] = value
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                embed(op, bad)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1000, 1 << 18, 300_000])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_embed_of_an_overflowing_finite_input_is_the_sign_of_its_projections(kind, n):
+    # x * 1e307 is finite, but some of its projections overflow to Inf or
+    # NaN; its code is still sgn of each projection, NaN counting as -1
+    op, x = _non_finite_input_case(kind, n)
+    big = x * 1e307
+    t = _project(op, big[None, :])[0]
+    assert not np.isfinite(t).all()
+    np.testing.assert_array_equal(embed(op, big), np.where(t >= 0.0, 1, -1))
+
+
 # ---------------------------------------------------- fanned projections
 
 @pytest.mark.parametrize("rows", [1, 3])

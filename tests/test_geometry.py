@@ -331,6 +331,127 @@ def test_coherence_matches_full_scan_on_near_tied_pairs():
             _assert_matches_full_scan(np.stack([v[p] for p in perms for v in (x, y)]))
 
 
+# The per-row body of _coherence from before the cosines came in Gram
+# blocks: one full-length matrix-vector product per row, whose cosines give
+# theta_min and feed the pruning bound. theta_min keeps the last bits of
+# those products, so the blocked scan must give the same statistics, bit for
+# bit.
+
+def _ref_max_ratio(D):
+    l2 = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+    inf = np.abs(D, out=D).max(axis=1)
+    keep = l2 >= 1e-12
+    return float(np.max(inf[keep] / l2[keep], initial=0.0))
+
+
+def _ref_max_ratio_from(P, x, start, buf):
+    N, rows = P.shape[0], buf.shape[0]
+    best = 0.0
+    for a in range(start, N, rows):
+        best = max(best, _ref_max_ratio(np.subtract(P[a : a + rows], x, out=buf[: min(rows, N - a)])))
+    return best
+
+
+def _ref_angles(cos):
+    return np.arccos(np.clip(cos, -1.0, 1.0)) / math.pi
+
+
+def ref_coherence(P):
+    N, n = P.shape
+    eps = 2.0**-53
+    top = np.abs(P).max(axis=1)
+    rho_direct = float(top.max())
+    rho_cross, theta_min = rho_direct, 1.0
+    rows = max(1, (1 << 16) // n)
+    buf = np.empty((min(rows, N), n))
+    s = np.einsum("ij,ij->i", P, P) * (1.0 - 4 * (n + 2) * eps)
+    topf = top * (1.0 + 2 * (n + 8) * eps)
+    rho_cross = max(rho_cross, _ref_max_ratio_from(P, P[np.argmax(top)], 0, buf))
+    wait, gap = 0, 1
+    for i in range(N - 1):
+        c = P[i + 1 :] @ P[i]
+        theta_min = min(theta_min, float(_ref_angles(c).min()))
+        J = None
+        if wait:
+            wait -= 1
+        else:
+            L = np.multiply(c, -2.0, out=c)
+            L += s[i + 1 :]
+            L += s[i]
+            L *= rho_cross * rho_cross
+            w = topf[i + 1 :] + topf[i]
+            w *= w
+            J = np.flatnonzero(w >= L)
+            if 2 * J.size > L.size:
+                J, wait, gap = None, gap, min(2 * gap, 32)
+            else:
+                gap = 1
+        if J is None:
+            rho_cross = max(rho_cross, _ref_max_ratio_from(P, P[i], i + 1, buf))
+            continue
+        J += i + 1
+        for a in range(0, J.size, rows):
+            D = np.take(P, J[a : a + rows], axis=0, out=buf[: min(rows, J.size - a)], mode="clip")
+            rho_cross = max(rho_cross, _ref_max_ratio(np.subtract(D, P[i], out=D)))
+    return rho_direct, rho_cross, theta_min
+
+
+def _assert_matches_per_row(P):
+    got = coherence(PointSet(points=P))
+    assert (got.rho_direct, got.rho_cross, got.theta_min) == ref_coherence(P)
+
+
+_KINDS = ["uniform_sphere", "flat_signs", "spiky", "clustered_pairs"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("n, N", [(1000, 1000), (40, 300), (3, 700), (2, 1), (2, 2), (500, 1), (500, 2)])
+def test_coherence_has_the_bits_of_the_per_row_scan(kind, n, N):
+    # 1000 and 300 rows make 32 and 3 Gram blocks, the last one partial;
+    # 700 rows make 15 blocks with a partial last one. clustered_pairs needs
+    # an even N, so N = 1 is the first row of a pair.
+    for seed in (0, 1):
+        _assert_matches_per_row(generate_pointset(kind, n, max(N, 2), 70 + seed).points[:N])
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("entries", [1, 8, 15])
+def test_coherence_has_the_bits_of_the_per_row_scan_on_small_blocks(kind, entries, monkeypatch):
+    # blocks of one row, of a few rows, and of rows that do not divide N
+    monkeypatch.setattr(geometry, "_GRAM_ENTRIES", entries * 38)
+    for n in (2, 9, 64):
+        _assert_matches_per_row(generate_pointset(kind, n, 38, n).points)
+
+
+@pytest.mark.parametrize("n", [3, 64, 1000])
+def test_coherence_has_the_bits_of_the_per_row_scan_on_tied_top_cosines(n):
+    # Copies of one pair, permuted, have the same exact cosine, but their
+    # computed cosines may differ in the last bits; exact copies tie exactly.
+    # The pairs go on both sides of Gram block edges (2^15 // 300 = 109 rows).
+    s = Stream(n, "cohtop")
+    x = random_unit(s, n)
+    y = unit(x + 0.01 * s.normals(n))
+    P = np.stack([random_unit(s, n) for _ in range(300)])
+    for row in (0, 107, 108, 217, 218, 296):
+        p = np.argsort(s.normals(n))
+        P[row], P[row + 2] = x[p], y[p]
+    P[150], P[151] = x, y
+    P[250], P[251] = x, y
+    _assert_matches_per_row(P)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("n", [2, 30, 1000])
+def test_coherence_has_the_bits_of_the_per_row_scan_on_duplicates_and_antipodes(kind, n):
+    # 2^15 // 300 = 109 rows per Gram block: the partners sit in the same
+    # block, on both sides of an edge and across two edges
+    P = generate_pointset(kind, n, 300, n + 1).points.copy()
+    for src, dst, sign in ((108, 109, 1.0), (107, 110, -1.0), (5, 200, 1.0), (6, 299, -1.0), (20, 21, -1.0),
+                           (217, 218, 1.0)):
+        P[dst] = sign * P[src]
+    _assert_matches_per_row(P)
+
+
 def test_coherence_prunes_generic_pairs(monkeypatch):
     # on generic data the bound rules out nearly every pair before the exact path
     seen = []

@@ -188,6 +188,18 @@ def test_sweep_cell_matches_direct_experiment():
     assert cells[0] == direct
 
 
+def test_sweep_computes_the_pair_angles_once(monkeypatch):
+    # every cell scores its codes against the same angles
+    shapes = []
+    angular_pairs = validation._angular_pairs
+    monkeypatch.setattr(validation, "_angular_pairs", lambda P: shapes.append(P.shape) or angular_pairs(P))
+    ps = generate_pointset("uniform_sphere", 32, 6, 4)
+    assert len(sweep(ps, "circulant", [8, 16], [0.1, 0.2], 2, 11)) == 4
+    assert shapes == [(6, 32)]
+    assert sweep(ps, "circulant", [], [0.1], 2, 11) == []
+    assert shapes == [(6, 32)]
+
+
 def test_sweep_gaussian_distortion_shrinks_with_k():
     # mean worst-case distortion should fall as the code length grows
     ps = generate_pointset("uniform_sphere", 1024, 32, 5)
