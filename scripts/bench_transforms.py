@@ -18,13 +18,16 @@ with k=256 (what eval scores), save_result of that eval report, with its
 499,500 pairs (what eval --pairs writes). A fifth times the text readers
 at N=1000: load_codes of a CRLF codes file with k=256, which takes the line
 parser, and load_pointset_csv at n=1000. A sixth times one whole quick gate
-suite with as many trial threads as cores, the default of validate.
-A seventh times the samplers: normals and rademacher from a fresh stream at
-2^10, 2^16 and 2^20 draws (above 2^16 they fan out in chunks), two threads
+suite with as many trial threads as cores, the default of validate. A
+seventh times the gates' conditioning trials at k=128 (50 trials) and
+decomposition trials at k=128 (30 trials), on one thread and on as many as
+the worker pool has: their LAPACK calls overlap only if they release the
+GIL. An eighth times the samplers: normals and rademacher from a fresh
+stream at 2^10, 2^16 and 2^20 draws (above 2^16 they fan out in chunks), two threads
 each drawing normals 2^20 at the same time (both fan out over the one
 worker pool), index_subset at (n, k) = (256, 128) and (2^20, 256), and
 deserialize_operator of a randomized BEOP1 record at n=10^6, k=256, which
-replays all three. An eighth times np.dot of two 2^20 vectors followed at
+replays all three. A ninth times np.dot of two 2^20 vectors followed at
 once by a randomized embed at 2^20: the dot runs on every BLAS thread, whose
 OpenBLAS workers then spin for a while, and the embed runs in that window.
 The header is the output of ``circembed info``: numpy, the BLAS build, its
@@ -57,6 +60,7 @@ import time
 import numpy as np
 
 import circembed
+from circembed._pool import WORKERS
 from circembed.cli import main as cli_main
 from circembed.embedders import (
     KINDS,
@@ -228,6 +232,20 @@ def build_suite_cases(seed: int):
     return [(f"gate suite threads={threads}", lambda: run_gate_suite(seed, quick=True, threads=threads))]
 
 
+def build_lapack_cases(seed: int):
+    # the conditioning and decomposition gates at their largest k
+    x = np.ones(256) / 16.0
+    y = np.tile([1.0, -1.0], 128) / 16.0
+    cases = []
+    for t in sorted({1, WORKERS}):
+        cases += [
+            (f"conditioning x50 threads={t}", lambda t=t: conditioning_experiment(x, y, 128, 50, seed, threads=t)),
+            (f"decomposition x30 threads={t}",
+             lambda t=t: decomposition_experiment(x, y, 128, 0.15, 30, seed, threads=t)),
+        ]
+    return cases
+
+
 def source_sha256() -> str:
     """sha256 over the timed package's .py files, in name order."""
     h = hashlib.sha256()
@@ -302,6 +320,7 @@ def main() -> int:
              build_pairwise_cases(args.seed, tmp), 1),
             ("text readers, N=1000 (one call per repeat):", build_codec_cases(args.seed, tmp), 1),
             ("quick gate suite (one call per repeat):", build_suite_cases(args.seed), 1),
+            ("LAPACK trials at k=128 (one call per repeat):", build_lapack_cases(args.seed), 1),
             ("samplers, from a fresh stream:", build_sampler_cases(args.seed), args.calls),
             ("embed right after an unpinned BLAS call:", build_window_cases(args.seed), args.calls),
         ):

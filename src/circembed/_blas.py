@@ -1,4 +1,4 @@
-"""The thread count of the OpenBLAS that numpy bundles, read and pinned through ctypes.
+"""The OpenBLAS that numpy bundles, through ctypes: its thread count and three LAPACK calls.
 
 OpenBLAS splits the sums of a product by its thread count, so the last bits
 of a Gram matrix, an eigenvalue or a pairwise angle depend on it. Reports and
@@ -25,10 +25,27 @@ sets it to one, and the last exit puts the saved count back. While it is held,
 BLAS calls from other threads of the process run on one thread too. When the
 library or its symbols cannot be found, ``one_thread`` does nothing and
 ``pin_available`` is false.
+
+``eigvalsh``, ``qr_r`` and ``norm2`` are ``np.linalg.eigvalsh``,
+``np.linalg.qr(a, mode="r")`` and ``np.linalg.norm(a, 2)`` of one matrix,
+for the conditioning and decomposition trials. numpy's gufuncs hold the GIL
+for a single matrix of those sizes (a 256 x 256 ``eigvalsh`` let another
+thread's loop run at 1.5% of its free rate), so the trial threads took
+turns. These call ``dsyevd``, ``dgeqrf`` and ``dgesdd`` of the same library
+through ctypes, which releases the GIL. Each makes the call numpy makes:
+jobz "N" and uplo "L" for ``dsyevd``, jobz "N" for ``dgesdd``; a
+Fortran-order copy of the input, as numpy's linearize makes; the workspace
+sizes of a ``lwork = -1`` query, ``dgeqrf`` taking ``max(1, n, query)``; R
+as ``triu`` of the first min(m, n) rows; and ``LinAlgError`` when ``info``
+is not 0. So their bits are numpy's. They are called under ``one_thread``
+like the rest of a Monte Carlo run, so the BLAS calls inside LAPACK run on
+one thread as numpy's would. Where ``pin_available`` is false they call
+numpy.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -38,27 +55,45 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["one_thread", "pin_available", "thread_count"]
+__all__ = ["eigvalsh", "norm2", "one_thread", "pin_available", "qr_r", "thread_count"]
 
-_GET = "scipy_openblas_get_num_threads64_"
-_SET = "scipy_openblas_set_num_threads64_"
+_INT = ctypes.c_int64  # the 64_ symbols take ILP64 integers, by reference
+_PINT = ctypes.POINTER(_INT)
+_BUF = ctypes.c_void_p  # the address of a numpy array
+_CHAR = ctypes.c_char_p
+_LEN = ctypes.c_size_t  # gfortran's hidden length of each character argument
+
+# (field, symbol, argtypes, restype) of every function ``_functions`` loads
+_SYMBOLS = (
+    ("get", "scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+    ("set", "scipy_openblas_set_num_threads64_", [ctypes.c_int], None),
+    # jobz uplo n a lda w work lwork iwork liwork info
+    ("syevd", "scipy_dsyevd_64_",
+     [_CHAR, _CHAR, _PINT, _BUF, _PINT, _BUF, _BUF, _PINT, _BUF, _PINT, _PINT, _LEN, _LEN], None),
+    # m n a lda tau work lwork info
+    ("geqrf", "scipy_dgeqrf_64_", [_PINT, _PINT, _BUF, _PINT, _BUF, _BUF, _PINT, _PINT], None),
+    # jobz m n a lda s u ldu vt ldvt work lwork iwork info
+    ("gesdd", "scipy_dgesdd_64_",
+     [_CHAR, _PINT, _PINT, _BUF, _PINT, _BUF, _BUF, _PINT, _BUF, _PINT, _BUF, _PINT, _BUF, _PINT, _LEN], None),
+)
+_Library = collections.namedtuple("_Library", [field for field, *_ in _SYMBOLS])
 
 
 @functools.lru_cache(maxsize=None)
-def _functions():
-    """(get, set) of the bundled OpenBLAS thread count, or None if not found."""
+def _functions() -> Optional[_Library]:
+    """The thread count's get and set and the three LAPACK routines of the bundled OpenBLAS, or None."""
     # numpy's wheels ship the library in numpy.libs next to the package; loading
     # it again returns the copy numpy already loaded
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
-            get, set_ = getattr(lib, _GET), getattr(lib, _SET)
+            fns = [getattr(lib, symbol) for _, symbol, _, _ in _SYMBOLS]
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        for fn, (_, _, argtypes, restype) in zip(fns, _SYMBOLS):
+            fn.argtypes, fn.restype = argtypes, restype
+        return _Library(*fns)
     return None
 
 
@@ -69,7 +104,86 @@ def pin_available() -> bool:
 def thread_count() -> Optional[int]:
     """The BLAS thread count now in effect, or None if it cannot be read."""
     fns = _functions()
-    return None if fns is None else int(fns[0]())
+    return None if fns is None else int(fns.get())
+
+
+def _matrix(a, square: bool = False) -> np.ndarray:
+    """A float64 Fortran-order copy of the matrix a, which LAPACK may overwrite."""
+    A = np.array(a, dtype=np.float64, order="F")
+    if A.ndim != 2 or (square and A.shape[0] != A.shape[1]):
+        raise np.linalg.LinAlgError(f"expected a {'square ' if square else ''}matrix, got shape {A.shape}")
+    return A
+
+
+def _check(info, message: str) -> None:
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"{message} (LAPACK info {info.value})")
+
+
+def eigvalsh(a) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)``: the ascending eigenvalues of one symmetric matrix."""
+    lib = _functions()
+    if lib is None:
+        return np.linalg.eigvalsh(a)
+    A = _matrix(a, square=True)
+    n = A.shape[0]
+    w, info = np.empty(n), _INT()
+
+    def syevd(work, lwork, iwork, liwork):
+        lib.syevd(b"N", b"L", _INT(n), A.ctypes.data, _INT(max(1, n)), w.ctypes.data,
+                  work.ctypes.data, _INT(lwork), iwork.ctypes.data, _INT(liwork), info, 1, 1)
+        _check(info, "Eigenvalues did not converge")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    syevd(work, -1, iwork, -1)  # the workspace query
+    lwork, liwork = int(work[0]), int(iwork[0])
+    syevd(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
+    return w
+
+
+def qr_r(a) -> np.ndarray:
+    """``np.linalg.qr(a, mode="r")``: the upper triangle R of one Householder QR."""
+    lib = _functions()
+    if lib is None:
+        return np.linalg.qr(a, mode="r")
+    A = _matrix(a)
+    m, n = A.shape
+    tau, info = np.empty(min(m, n)), _INT()
+
+    def geqrf(work, lwork):
+        lib.geqrf(_INT(m), _INT(n), A.ctypes.data, _INT(max(1, m)), tau.ctypes.data,
+                  work.ctypes.data, _INT(lwork), info)
+        _check(info, "Incorrect argument found while performing QR factorization")
+
+    work = np.empty(1)
+    geqrf(work, -1)
+    lwork = max(1, n, int(work[0]))
+    geqrf(np.empty(lwork), lwork)
+    return np.triu(A[: min(m, n)])
+
+
+def norm2(a) -> float:
+    """``np.linalg.norm(a, 2)``: the largest singular value of one matrix."""
+    lib = _functions()
+    if lib is None:
+        return float(np.linalg.norm(a, 2))
+    A = _matrix(a)
+    m, n = A.shape
+    s, info = np.empty(min(m, n)), _INT()
+    iwork = np.empty(8 * min(m, n), dtype=np.int64)
+    uv = np.empty(1)  # U and VT are not referenced for jobz "N"
+
+    def gesdd(work, lwork):
+        lib.gesdd(b"N", _INT(m), _INT(n), A.ctypes.data, _INT(max(1, m)), s.ctypes.data,
+                  uv.ctypes.data, _INT(max(1, m)), uv.ctypes.data, _INT(1),
+                  work.ctypes.data, _INT(lwork), iwork.ctypes.data, info, 1)
+        _check(info, "SVD did not converge")
+
+    work = np.empty(1)
+    gesdd(work, -1)
+    lwork = int(work[0]) or 1
+    gesdd(np.empty(lwork), lwork)
+    return float(s.max(initial=0.0))
 
 
 _lock = threading.Lock()
@@ -85,7 +199,7 @@ def one_thread():
     if fns is None:
         yield
         return
-    get, set_ = fns
+    get, set_ = fns.get, fns.set
     with _lock:
         if _depth == 0:
             _saved = get()

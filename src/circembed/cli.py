@@ -8,7 +8,7 @@ Subcommands:
             every pair as CSV (--pairs)
   sweep     grid of (k, delta) distortion experiments, CSV plus JSON summary
   validate  frozen Monte Carlo gate suite; each gate's wall time goes to stderr
-  info      numpy, BLAS and FWHT build and BLAS thread count, for bug reports
+  info      numpy, BLAS, FWHT and LAPACK paths and BLAS thread count, for bug reports
 
 Exit codes: 0 on success (and when all gates pass), 1 when gates fail,
 2 on usage errors (bad flags or parameter combinations), 3 on I/O failures
@@ -243,6 +243,12 @@ def cmd_info(args) -> int:
         print("one-thread pin: unavailable (reports run on the BLAS thread count in effect, "
               "and their last bits may depend on it)")
     print("fwht: numpy (BLAS matmul)")
+    if _blas.pin_available():
+        print("lapack: ctypes into the bundled OpenBLAS (eigvalsh, qr and the 2-norm SVD of Monte Carlo "
+              "trials release the GIL and run on every trial thread)")
+    else:
+        print("lapack: numpy.linalg (holds the GIL on small matrices, so eigvalsh, qr and SVD trials "
+              "run one at a time)")
     print(f"worker threads: {_pool.WORKERS} (Monte Carlo trials, draws of more than {2 * rng._CHUNK} "
           f"values and the transforms of rows of at least {embedders._FAN_MIN} entries; "
           f"the values do not depend on this, for the transforms on the BLAS builds tested)")

@@ -11,7 +11,10 @@ results come back in trial order, so reports never depend on scheduling.
 The public experiments, ``evaluate_codes`` and ``run_gate_suite`` run with
 BLAS pinned to one thread (``_blas.one_thread``), so the bits of their
 Gram, eigenvalue and angle computations, and so the reports, do not depend
-on the BLAS thread count, and the trial threads own the cores.
+on the BLAS thread count, and the trial threads own the cores. Their
+eigenvalue, QR and 2-norm SVD calls go through ``_blas``, which calls the
+LAPACK routines numpy calls without holding the GIL, so those trials run on
+every core too.
 """
 
 from __future__ import annotations
@@ -329,7 +332,7 @@ def conditioning_sample(x, y, r, S, theta: Optional[float] = None) -> float:
     k = Sv.size
     cols = np.concatenate([_shift_rows(rv * xv, Sv), _shift_rows(rv * yv, Sv)], axis=0)
     G = cols @ cols.T  # (2k, 2k) Gram of the columns of M
-    return float(np.abs(np.linalg.eigvalsh(G - _i_theta(k, theta))).max())
+    return float(np.abs(_blas.eigvalsh(G - _i_theta(k, theta))).max())
 
 
 @_blas.one_thread()
@@ -483,13 +486,13 @@ def decomposition_sample(x, y, r, S):
     C = np.empty((2 * k, xv.size))
     C[0::2] = X
     C[1::2] = Y
-    R = np.linalg.qr(C.T, mode="r")
+    R = _blas.qr_r(C.T)
     spans = np.abs(np.diagonal(R))
     if spans.size < 2 * k or (spans < _SPAN_TOL * np.maximum(1.0, np.linalg.norm(C, axis=1))).any():
         return _decomposition_loop(X, Y)
     U = np.triu(R, 1)
     U[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 0.0
-    return float(np.linalg.norm(U, axis=0).max()), float(np.linalg.norm(U, 2)), False
+    return float(np.linalg.norm(U, axis=0).max()), _blas.norm2(U), False
 
 
 def _decomposition_loop(X: np.ndarray, Y: np.ndarray):
@@ -523,7 +526,7 @@ def _decomposition_loop(X: np.ndarray, Y: np.ndarray):
             Q[q_count] = res / nr
             q_count += 1
     col_norms = np.linalg.norm(P_cols, axis=1)
-    return float(col_norms.max()), float(np.linalg.norm(P_cols, 2)), degenerate
+    return float(col_norms.max()), _blas.norm2(P_cols), degenerate
 
 
 @_blas.one_thread()

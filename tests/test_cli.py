@@ -393,12 +393,14 @@ def test_info_prints_numpy_blas_and_fwht(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"numpy: {np.__version__}"
     assert [ln.split(":")[0] for ln in lines] == [
-        "numpy", "blas", "blas threads", "one-thread pin", "fwht", "worker threads"]
+        "numpy", "blas", "blas threads", "one-thread pin", "fwht", "lapack", "worker threads"]
     count = _blas.thread_count()
     assert lines[2] == f"blas threads: {'unknown' if count is None else count}"
     assert lines[3].startswith("one-thread pin: available" if _blas.pin_available() else "one-thread pin: unavailable")
     assert lines[4] == "fwht: numpy (BLAS matmul)"
-    assert lines[5] == (f"worker threads: {os.cpu_count() or 1} (Monte Carlo trials, draws of more than 65536 values "
+    assert lines[5].startswith("lapack: ctypes into the bundled OpenBLAS" if _blas.pin_available()
+                               else "lapack: numpy.linalg")
+    assert lines[6] == (f"worker threads: {os.cpu_count() or 1} (Monte Carlo trials, draws of more than 65536 values "
                         "and the transforms of rows of at least 262144 entries; the values do not depend on this, "
                         "for the transforms on the BLAS builds tested)")
     assert list(tmp_path.iterdir()) == []  # writes no file
@@ -410,6 +412,7 @@ def test_info_without_the_pin_says_so(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "blas threads: unknown\n" in out
     assert "one-thread pin: unavailable" in out
+    assert "lapack: numpy.linalg (holds the GIL on small matrices, so eigvalsh, qr and SVD trials run one at a time)\n" in out
 
 
 def test_info_takes_no_flags():

@@ -453,6 +453,13 @@ EXPERIMENTS = {
     "decomposition_experiment": lambda trials, threads: decomposition_experiment(
         *flat_pair(64), 8, 0.15, trials, 4, threads=threads
     ),
+    # the gates' largest k, where the LAPACK calls of the trials overlap
+    "conditioning_experiment k=128": lambda trials, threads: conditioning_experiment(
+        *flat_pair(256), 128, trials, 6, threads=threads
+    ),
+    "decomposition_experiment k=128": lambda trials, threads: decomposition_experiment(
+        *flat_pair(256), 128, 0.15, trials, 7, threads=threads
+    ),
 }
 
 
