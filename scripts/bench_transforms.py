@@ -30,6 +30,8 @@ deserialize_operator of a randomized BEOP1 record at n=10^6, k=256, which
 replays all three. A ninth times np.dot of two 2^20 vectors followed at
 once by a randomized embed at 2^20: the dot runs on every BLAS thread, whose
 OpenBLAS workers then spin for a while, and the embed runs in that window.
+A tenth times sweep of randomized operators over N=1000 points at n=1000,
+k 64 and 256, 3 trials, on one thread, at one delta and at four.
 The header is the output of ``circembed info``: numpy, the BLAS build, its
 thread count, whether reports pin it to one thread and the worker threads.
 
@@ -92,6 +94,7 @@ from circembed.validation import (
     evaluate_codes,
     hadamard_coherence_experiment,
     run_gate_suite,
+    sweep,
 )
 
 
@@ -227,6 +230,14 @@ def build_window_cases(seed: int):
     return [("np.dot then embed randomized 2^20", dot_then_embed)]
 
 
+def build_sweep_cases(seed: int):
+    ps = generate_pointset("uniform_sphere", 1000, 1000, seed)
+    return [
+        (f"sweep {len(deltas)} delta", lambda deltas=deltas: sweep(ps, "randomized", [64, 256], deltas, 3, seed))
+        for deltas in ([0.15], [0.1, 0.15, 0.2, 0.25])
+    ]
+
+
 def build_suite_cases(seed: int):
     threads = os.cpu_count() or 1
     return [(f"gate suite threads={threads}", lambda: run_gate_suite(seed, quick=True, threads=threads))]
@@ -323,6 +334,8 @@ def main() -> int:
             ("LAPACK trials at k=128 (one call per repeat):", build_lapack_cases(args.seed), 1),
             ("samplers, from a fresh stream:", build_sampler_cases(args.seed), args.calls),
             ("embed right after an unpinned BLAS call:", build_window_cases(args.seed), args.calls),
+            ("sweep randomized, N=n=1000, k 64 and 256, 3 trials (one call per repeat):",
+             build_sweep_cases(args.seed), 1),
         ):
             print()
             print(title)

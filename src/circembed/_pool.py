@@ -1,7 +1,9 @@
 """The package's one worker pool. Monte Carlo trials and the chunks of large
 draws both run through ``fan_out``, and fan-outs do not nest: a call made on
-a pool thread, such as a large draw inside a trial, runs its items in order
-on that thread, so the pool never waits on itself or oversubscribes the cores.
+a pool thread, such as a large draw inside a trial that runs on the pool,
+runs its items in order on that thread, so the pool never waits on itself or
+oversubscribes the cores. A trial run on the caller's thread (one trial
+thread, or one trial) is not on the pool, so its large draws fan out.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ Subcommands:
   eval      all-pairs distortion of codes against angles: a JSON report of
             the pair statistics and each point's worst pair, optionally
             every pair as CSV (--pairs)
-  sweep     grid of (k, delta) distortion experiments, CSV plus JSON summary
+  sweep     distortion over a grid of k and delta: one experiment per k,
+            read at each delta; CSV plus JSON summary
   validate  frozen Monte Carlo gate suite; each gate's wall time goes to stderr
   info      numpy, BLAS, FWHT and LAPACK paths and BLAS thread count, for bug reports
 
@@ -260,7 +261,9 @@ def _add_common(p, threads=True):
     if threads:
         p.add_argument(
             "--threads", type=int, default=_pool.WORKERS,
-            help="Monte Carlo trial threads, at most one per core; results do not depend on this",
+            help="pool threads for the Monte Carlo trials, at most one per core; with 1 the trials run on "
+            "the calling thread, and a large draw inside a trial still fans out over the pool; "
+            "results do not depend on this",
         )
 
 

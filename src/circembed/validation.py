@@ -5,8 +5,12 @@ that checks the trial count and derives trial seeds: trial t draws fresh
 randomness from derive_seed(seed, "trial:<t>"), so trials are mutually
 independent, a run is fully reproducible from its seed, and extending the
 trial count leaves earlier trials unchanged. Trials fan out over the one
-worker pool (``_pool.fan_out``) on at most min(threads, cores) threads;
-results come back in trial order, so reports never depend on scheduling.
+worker pool (``_pool.fan_out``) on at most min(threads, cores) pool threads,
+where a large draw or a long-row embed inside a trial runs in order. With
+threads=1, or one trial, the trials run in order on the caller's thread,
+which is not a pool thread, so such a draw or embed still fans out over the
+pool. Results come back in trial order, so reports never depend on
+scheduling.
 
 The public experiments, ``evaluate_codes`` and ``run_gate_suite`` run with
 BLAS pinned to one thread (``_blas.one_thread``), so the bits of their
@@ -218,21 +222,21 @@ def distortion_experiment(
     and scan all N(N-1)/2 pairs. success_fraction counts trials whose worst
     pair stayed at or below delta_target.
     """
-    return _distortion(ps, _angular_pairs(ps.points), kind, k, trials, seed, delta_target, r_dist, threads)
+    rows = _distortion(ps, _angular_pairs(ps.points), kind, k, trials, seed, r_dist, threads)
+    return _distortion_report(ps, kind, k, seed, delta_target, rows)
 
 
-def _distortion(ps: PointSet, pairs, kind: str, k: int, trials: int, seed: int, delta_target: float, r_dist: str,
-                threads: int) -> DistortionReport:
-    # distortion_experiment with the pairs and angles of _angular_pairs(ps.points)
-    # given; the caller pins BLAS to one thread
+def _distortion(ps: PointSet, pairs, kind: str, k: int, trials: int, seed: int, r_dist: str, threads: int) -> list:
+    # the per-trial (max, mean) rows of distortion_experiment, with the pairs
+    # and angles of _angular_pairs(ps.points) given; the caller pins BLAS to
+    # one thread
     iu, ang = pairs
 
     def run_trial(trial_seed: int):
         codes = embedders.embed_points(embedders.sample_operator(kind, ps.n, k, trial_seed, r_dist), ps.points)
         return _max_mean(np.abs(_hamming_pairs(codes, iu) - ang))
 
-    rows = _run_trials(run_trial, trials, seed, threads)
-    return _distortion_report(ps, kind, k, seed, delta_target, rows)
+    return _run_trials(run_trial, trials, seed, threads)
 
 
 @_blas.one_thread()
@@ -273,21 +277,27 @@ def sweep(
     r_dist: str = "gaussian",
     threads: int = 1,
 ) -> list:
-    """Cartesian grid of distortion experiments, one report per (k, delta).
+    """Distortion reports over a grid, one per (k, delta), k-major.
 
-    Cell seeds are derived from (seed, k, delta), so each cell is its own
-    independent experiment and the grid can be refined without disturbing
-    existing cells. Each report equals that of ``distortion_experiment``
-    with the cell's arguments; the pair angles are computed once for the grid.
+    One distortion experiment runs per k, under the seed derived from
+    (seed, k), and is read at each delta: a delta only decides which trials'
+    worst pairs count as a success, so success_fraction never falls as delta
+    grows. Adding a k or a delta to the grid leaves the other reports
+    unchanged. The reports of one k equal those of ``distortion_experiment``
+    with the seed ``derive_seed(seed, f"cell:k={k}")`` and each delta; the
+    pair angles are computed once for the grid.
     """
-    cells = [(int(k), float(d)) for k in k_values for d in delta_values]
-    if not cells:
+    k_values = [int(k) for k in k_values]
+    deltas = [float(d) for d in delta_values]
+    if not k_values or not deltas:
         return []
     pairs = _angular_pairs(ps.points)
-    return [
-        _distortion(ps, pairs, kind, k, trials, derive_seed(seed, f"cell:k={k}:delta={d:.17g}"), d, r_dist, threads)
-        for k, d in cells
-    ]
+    reports = []
+    for k in k_values:
+        k_seed = derive_seed(seed, f"cell:k={k}")
+        rows = _distortion(ps, pairs, kind, k, trials, k_seed, r_dist, threads)
+        reports += [_distortion_report(ps, kind, k, k_seed, d, rows) for d in deltas]
+    return reports
 
 
 # ---------------------------------------------------------------------------

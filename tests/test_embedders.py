@@ -283,6 +283,18 @@ def test_sample_operator_caps_entries(monkeypatch):
             sample_operator(kind, *over, 0)
 
 
+def test_each_sampler_checks_the_cap_before_drawing(monkeypatch):
+    monkeypatch.setattr(embedders, "_MAX_ENTRIES", 64)
+    monkeypatch.setattr(embedders, "Rng", None)  # any draw would raise TypeError
+    for sampler, over in (
+        (embedders.sample_gaussian_operator, (16, 5)),
+        (embedders.sample_circulant_operator, (65, 4)),
+        (embedders.sample_randomized_operator, (65, 4)),
+    ):
+        with pytest.raises(ValueError, match="over the cap of 64"):
+            sampler(*over, 0)
+
+
 def test_deserialize_over_the_cap_is_parse_error(monkeypatch):
     blob = serialize_operator(sample_operator("gaussian", 16, 5, 0))
     monkeypatch.setattr(embedders, "_MAX_ENTRIES", 64)

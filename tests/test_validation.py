@@ -181,11 +181,32 @@ def test_evaluate_codes_rejects_shape_mismatch():
 
 def test_sweep_cell_matches_direct_experiment():
     ps = generate_pointset("uniform_sphere", 32, 6, 4)
-    cells = sweep(ps, "circulant", [8, 16], [0.1], 3, 11)
-    assert [(c.k, c.delta_target) for c in cells] == [(8, 0.1), (16, 0.1)]
-    cell_seed = derive_seed(11, f"cell:k=8:delta={0.1:.17g}")
-    direct = distortion_experiment(ps, "circulant", 8, 3, cell_seed, delta_target=0.1)
-    assert cells[0] == direct
+    cells = sweep(ps, "circulant", [8, 16], [0.1, 0.2], 3, 11)
+    assert [(c.k, c.delta_target) for c in cells] == [(8, 0.1), (8, 0.2), (16, 0.1), (16, 0.2)]
+    for cell in cells:
+        cell_seed = derive_seed(11, f"cell:k={cell.k}")
+        assert cell == distortion_experiment(ps, "circulant", cell.k, 3, cell_seed, delta_target=cell.delta_target)
+
+
+def test_sweep_success_never_falls_as_delta_grows():
+    ps = generate_pointset("uniform_sphere", 64, 12, 2)
+    deltas = [0.25, 0.29, 0.33, 0.37]
+    cells = sweep(ps, "randomized", [16, 32], deltas, 4, 3)
+    for i in range(0, len(cells), len(deltas)):
+        fractions = [c.success_fraction for c in cells[i:i + len(deltas)]]
+        assert fractions == sorted(fractions)
+        assert len(set(fractions)) > 1  # the grid spans the worst pairs, so the check bites
+
+
+def test_sweep_runs_one_experiment_per_k(monkeypatch):
+    calls = []
+    sample_operator = validation.embedders.sample_operator
+    monkeypatch.setattr(
+        validation.embedders, "sample_operator", lambda *a, **kw: calls.append(a[2]) or sample_operator(*a, **kw)
+    )
+    ps = generate_pointset("uniform_sphere", 32, 6, 4)
+    assert len(sweep(ps, "circulant", [8, 16], [0.1, 0.2, 0.3], 4, 11)) == 6
+    assert calls == [8] * 4 + [16] * 4
 
 
 def test_sweep_computes_the_pair_angles_once(monkeypatch):
