@@ -32,13 +32,22 @@ once by a randomized embed at 2^20: the dot runs on every BLAS thread, whose
 OpenBLAS workers then spin for a while, and the embed runs in that window.
 A tenth times sweep of randomized operators over N=1000 points at n=1000,
 k 64 and 256, 3 trials, on one thread, at one delta and at four.
+A memory table, which runs first and in a process of its own, measures at
+n=N=1000 the stages the CLI runs:
+load_pointset, generate_pointset of uniform_sphere, save_pointset,
+evaluate_codes with k=256 and one sweep trial (circulant, k=256, its pair
+angles given, BLAS on one thread). It records, per repetition, the minor
+page faults (``ru_minflt``) and the time per call, and the tracemalloc peak
+of one more call: numpy reports its buffers to tracemalloc.
 The header is the output of ``circembed info``: numpy, the BLAS build, its
 thread count, whether reports pin it to one thread and the worker threads.
 
 ``--json-out PATH`` also records the run as JSON: the ``info`` lines, the
 core count, a sha256 of the timed package's sources and, per table row,
 the best time and the time of every repetition, in ms (the scaling table
-gives one row per kernel and size), so a row shows its spread.
+gives one row per kernel and size), so a row shows its spread. The memory
+table's rows go under ``memory``, with the faults per call of every
+repetition and the traced peak in bytes.
 A run is appended to the runs already in PATH, so runs of two source trees
 (say, with PYTHONPATH at a checkout of the parent commit's src) sit side by
 side in one file.
@@ -54,14 +63,18 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
+import resource
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 
 import circembed
+from circembed import _blas
 from circembed._pool import WORKERS
 from circembed.cli import main as cli_main
 from circembed.embedders import (
@@ -74,20 +87,23 @@ from circembed.embedders import (
     sample_randomized_operator,
     serialize_operator,
 )
-from circembed.geometry import coherence
+from circembed.geometry import _angular_pairs, coherence
 from circembed.io import (
     ResultDocument,
     generate_pointset,
     load_codes,
+    load_pointset,
     load_pointset_csv,
     save_codes,
     save_pairs,
+    save_pointset,
     save_pointset_csv,
     save_result,
 )
 from circembed.rng import Rng, Stream
 from circembed.transforms import circulant_apply, fwht
 from circembed.validation import (
+    _distortion,
     conditioning_experiment,
     decomposition_experiment,
     distortion_experiment,
@@ -257,6 +273,55 @@ def build_lapack_cases(seed: int):
     return cases
 
 
+def build_memory_cases(seed: int, tmp: str):
+    ps = generate_pointset("uniform_sphere", 1000, 1000, seed)
+    path = os.path.join(tmp, "pts.pset")
+    save_pointset(ps, path)
+    codes = embed_points(sample_operator("randomized", 1000, 256, seed), ps.points)
+    pairs = _angular_pairs(ps.points)
+
+    def sweep_trial():
+        with _blas.one_thread():
+            _distortion(ps, pairs, "circulant", 256, 1, seed, "gaussian", 1)
+
+    return [
+        ("load_pointset", lambda: load_pointset(path)),
+        ("generate_pointset uniform_sphere", lambda: generate_pointset("uniform_sphere", 1000, 1000, seed)),
+        ("save_pointset", lambda: save_pointset(ps, path)),
+        ("evaluate_codes k=256", lambda: evaluate_codes(ps, codes)),
+        ("sweep trial circulant k=256", sweep_trial),
+    ]
+
+
+def measure_memory(fn, calls: int, repeats: int):
+    """(ms per call, minor faults per call) of each repetition, and the tracemalloc peak of one call in bytes."""
+    ms, faults = [], []
+    for _ in range(repeats):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        ms.append((time.perf_counter() - t0) / calls * 1e3)
+        faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / calls)
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ms, faults, peak
+
+
+def memory_table(seed: int, repeats: int) -> list:
+    """(name, ms, faults per call, traced peak) of each memory case, measured in this process."""
+    memory = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, fn in build_memory_cases(seed, tmp):
+            fn()
+            memory.append((name, *measure_memory(fn, 5, repeats)))
+    return memory
+
+
 def source_sha256() -> str:
     """sha256 over the timed package's .py files, in name order."""
     h = hashlib.sha256()
@@ -267,7 +332,7 @@ def source_sha256() -> str:
     return h.hexdigest()
 
 
-def write_run(path: str, info: list, args, rows: list) -> None:
+def write_run(path: str, info: list, args, rows: list, memory: list) -> None:
     """Append this run to the runs in the JSON file at path."""
     runs = []
     if os.path.exists(path):
@@ -276,7 +341,9 @@ def write_run(path: str, info: list, args, rows: list) -> None:
     params = {k: v for k, v in vars(args).items() if k != "json_out"}
     runs.append({"info": info, "cores": os.cpu_count(), "source_sha256": source_sha256(),
                  "args": params,
-                 "rows": [{"table": t, "name": n, "ms": min(ms), "repeat_ms": ms} for t, n, ms in rows]})
+                 "rows": [{"table": t, "name": n, "ms": min(ms), "repeat_ms": ms} for t, n, ms in rows],
+                 "memory": [{"name": n, "ms": min(ms), "repeat_ms": ms, "minflt_per_call": min(f),
+                             "repeat_minflt_per_call": f, "traced_peak_bytes": peak} for n, ms, f, peak in memory]})
     with open(path, "w") as f:
         json.dump({"runs": runs}, f, indent=1)
         f.write("\n")
@@ -297,6 +364,14 @@ def main() -> int:
     info = out.getvalue().splitlines()
     print("\n".join(info))
     print(f"cores: {os.cpu_count()}")
+    print()
+    # the memory table runs in a process of its own, whose heap is as fresh as
+    # that of a CLI call, and leaves this one's as the other tables expect it
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        memory = pool.apply(memory_table, (args.seed, args.repeats))
+    print("memory, n=N=1000 (best of the repetitions; tracemalloc peak of one call):")
+    for name, ms, faults, peak in memory:
+        print(f"  {name.ljust(34)} {min(ms):9.3f}ms {min(faults):9.1f} faults {peak / 2**20:8.2f} MiB")
     print()
     rows = []  # (table, name, ms of each repetition)
     fwht(np.ones(2))  # first call outside the timed region
@@ -345,7 +420,7 @@ def main() -> int:
                 rows.append((title.rstrip(":"), name, ms))
                 print(f"  {name.ljust(30)} {min(ms):10.3f}ms")
     if args.json_out:
-        write_run(args.json_out, info, args, rows)
+        write_run(args.json_out, info, args, rows, memory)
     return 0
 
 

@@ -170,9 +170,12 @@ def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length()
 
 
-def _check_params(kind: str, n: int, k: int) -> None:
+def _check_params(kind: str, n: int, k: int, r_dist: str = "gaussian") -> None:
     """Raise ValueError unless an operator of ``kind`` with input dimension n
-    and k rows has a valid shape and at most ``_MAX_ENTRIES`` entries."""
+    and k rows has a valid shape and at most ``_MAX_ENTRIES`` entries, and
+    r_dist is one of ``R_DISTS``."""
+    if r_dist not in R_DISTS:
+        raise ValueError(f"unknown r_dist {r_dist!r}; expected one of {', '.join(R_DISTS)}")
     entries = {"gaussian": k * n, "circulant": n, "randomized": _next_pow2(n)}[kind]
     if entries > _MAX_ENTRIES:
         raise ValueError(f"a {kind} operator with n={n}, k={k} has {entries} entries, over the cap of {_MAX_ENTRIES}")
@@ -195,26 +198,19 @@ def sample_gaussian_operator(n: int, k: int, seed: int) -> GaussianOperator:
     return GaussianOperator(G=g.reshape(k, n), seed=seed)
 
 
-def _sample_r(rng: Rng, n: int, r_dist: str) -> np.ndarray:
-    if r_dist == "gaussian":
-        return rng.stream("circulant:r").normals(n)
-    if r_dist == "rademacher":
-        return rng.stream("circulant:r").rademacher(n)
-    raise ValueError(f"unknown r_dist {r_dist!r}; expected one of {', '.join(R_DISTS)}")
-
-
 def sample_circulant_operator(n: int, k: int, seed: int, r_dist: str = "gaussian") -> CirculantOperator:
-    _check_params("circulant", n, k)
+    _check_params("circulant", n, k, r_dist)
     seed = int(seed) & _U64
     rng = Rng(seed)
     h = rng.stream("circulant:h").normals(n)
-    r = _sample_r(rng, n, r_dist)
+    r_stream = rng.stream("circulant:r")
+    r = r_stream.normals(n) if r_dist == "gaussian" else r_stream.rademacher(n)
     S = rng.stream("circulant:S").index_subset(n, k)
     return CirculantOperator(h=h, r=r, S=S, seed=seed, r_dist=r_dist)
 
 
 def sample_randomized_operator(n: int, k: int, seed: int, r_dist: str = "gaussian") -> RandomizedOperator:
-    _check_params("randomized", n, k)
+    _check_params("randomized", n, k, r_dist)
     seed = int(seed) & _U64
     n_pad = _next_pow2(n)
     inner = sample_circulant_operator(n_pad, k, seed, r_dist=r_dist)

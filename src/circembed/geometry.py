@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedders
-from .embedders import _BLOCK_ENTRIES
+from .embedders import _BLOCK_ENTRIES, _row_blocks
 
 __all__ = [
     "PointSet",
@@ -24,6 +24,9 @@ _PRE_ATOL = 1e-6  # precondition slack for single-vector arguments
 _DUP_TOL = 1e-12  # pairs closer than this count as duplicates
 _EPS = 2.0**-53  # unit roundoff of float64
 _GRAM_ENTRIES = 1 << 15  # entries of one block of cosines in _coherence
+# the widest float32 product of sign codes that is exact: its partial sums are
+# integers of magnitude at most 2^24, which float32 holds exactly
+_F32_COLUMNS = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +47,10 @@ class PointSet:
         N, n = p.shape
         if N < 1 or n < 2:
             raise ValueError(f"need N >= 1 and n >= 2, got N={N}, n={n}")
-        if not np.isfinite(p).all():
+        norms, bad = _row_norms(p)
+        if bad is not None:
             raise ValueError("points contain NaN or Inf")
-        _require_unit(np.linalg.norm(p, axis=1), np.arange(N))
+        _require_unit(norms, np.arange(N))
 
     @classmethod
     def _checked(cls, points: np.ndarray) -> "PointSet":
@@ -63,6 +67,32 @@ class PointSet:
     @property
     def n(self) -> int:
         return self.points.shape[1]
+
+
+def _row_norms(P: np.ndarray):
+    """(norms, None) with the norms of ``np.linalg.norm(P, axis=1)``, or
+    (None, (row, column)) of P's first non-finite entry in row-major order.
+
+    P is read a block of rows at a time, so the temporaries are block-sized;
+    each row's norm is reduced as in one call over all of P, so its bits are
+    the same.
+    """
+    norms = np.empty(P.shape[0])
+    for rows in _row_blocks(P.shape[0], P.shape[1]):
+        block = P[rows]
+        if not np.isfinite(block).all():
+            row, col = divmod(int(np.argmin(np.isfinite(block))), P.shape[1])
+            return None, (rows.start + row, col)
+        with np.errstate(over="ignore"):
+            norms[rows] = np.linalg.norm(block, axis=1)
+    return norms, None
+
+
+def _normalize_rows(P: np.ndarray) -> None:
+    """Divide each row of P by its norm in place, a block of rows at a time."""
+    for rows in _row_blocks(P.shape[0], P.shape[1]):
+        block = P[rows]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
 
 
 def _require_unit(norms: np.ndarray, rows: np.ndarray) -> None:
@@ -106,30 +136,58 @@ def hamming_normalized(a, b) -> float:
     return float(np.count_nonzero(av != bv)) / av.size
 
 
-def _angles(cos: np.ndarray) -> np.ndarray:
-    """Angular distances, normalized by pi, from cosines."""
-    return np.arccos(np.clip(cos, -1.0, 1.0)) / math.pi
+def _angles(cos, out=None):
+    """Angular distances, normalized by pi, from cosines; ``out`` may be ``cos``."""
+    return np.divide(np.arccos(np.clip(cos, -1.0, 1.0, out=out), out=out), math.pi, out=out)
 
 
 def _angular_pairs(points: np.ndarray):
-    """Upper-triangle indices of the rows and the angle of each pair.
+    """The pairs of the rows and the angle of each pair.
 
-    An N x N Gram matrix over ``embedders._MAX_ENTRIES`` entries is refused before allocation.
+    The pairs are a mask of the strict upper triangle of an N x N matrix:
+    indexing a matrix with it gives the entries (i, j), i < j, in
+    ``np.triu_indices(N, 1)`` order, the order of the angles. An N x N Gram
+    matrix over ``embedders._MAX_ENTRIES`` entries is refused before
+    anything is allocated.
     """
     N = points.shape[0]
     if N * N > embedders._MAX_ENTRIES:
         raise ValueError(f"all pairs of N={N} points need {N * N} Gram entries, over the cap of {embedders._MAX_ENTRIES}")
-    iu = np.triu_indices(N, 1)
-    return iu, _angles((points @ points.T)[iu])
+    upper = np.tri(N, dtype=bool)
+    np.logical_not(upper, out=upper)
+    # one product of all rows: a product over blocks of rows rounds some
+    # cosines differently
+    cos = (points @ points.T)[upper]
+    return upper, _angles(cos, out=cos)
 
 
-def _hamming_pairs(codes: np.ndarray, iu) -> np.ndarray:
-    """Normalized Hamming distance of the code rows at the pairs ``iu``."""
-    # (k - <a, b>) / 2k equals the disagreement fraction for sign codes;
-    # the Gram matrix is integer-valued so this is exact
-    C = codes.astype(np.float64)
-    k = C.shape[1]
-    return (k - (C @ C.T)[iu]) / (2.0 * k)
+def _pair_blocks(upper: np.ndarray):
+    """(a, b, mask, run) for each block of rows a..b-1 of about
+    ``embedders._BLOCK_ENTRIES`` entries: their pairs are the entries ``mask``
+    of upper[a:b, a:], and the slice ``run`` of the pairs in upper's order."""
+    N = upper.shape[0]
+    start = 0
+    for rows in _row_blocks(N, N):
+        a, b = rows.start, min(rows.stop, N)
+        stop = start + (b - a) * (N - 1) - (a + b - 1) * (b - a) // 2
+        yield a, b, upper[a:b, a:], slice(start, stop)
+        start = stop
+
+
+def _hamming_pairs(codes: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Normalized Hamming distance of the code rows at the pairs ``upper``, in its order."""
+    # (k - <a, b>) / 2k equals the disagreement fraction for sign codes. The
+    # dot products are integers, exact in float32 products of at most
+    # _F32_COLUMNS columns in any order or blocking, and exact in float64
+    # differences, so the Gram is taken a block of rows at a time
+    N, k = codes.shape
+    ham = np.full(N * (N - 1) // 2, float(k))
+    for c in range(0, k, _F32_COLUMNS):
+        C = codes[:, c : c + _F32_COLUMNS].astype(np.float32)
+        for a, b, mask, run in _pair_blocks(upper):
+            ham[run] -= (C[a:b] @ C[a:].T)[mask]
+    ham /= 2.0 * k
+    return ham
 
 
 def _max_ratio(D: np.ndarray) -> float:
@@ -153,7 +211,8 @@ def _max_ratio_from(P: np.ndarray, x: np.ndarray, start: int, buf: np.ndarray) -
 def _coherence(P: np.ndarray) -> CoherenceStats:
     """Coherence statistics of the rows of P, in O(N n) memory."""
     N, n = P.shape
-    top = np.abs(P).max(axis=1)
+    # the rows are finite and nonzero, so max(max, -min) is the inf norm
+    top = np.maximum(P.max(axis=1), -P.min(axis=1))
     rho_direct = float(top.max())
     # differences go through reused buffers of about _BLOCK_ENTRIES entries
     # each, which stay in cache, instead of a fresh (N - i) x n array per row

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import embedders
 from .errors import ParseError
-from .geometry import _UNIT_ATOL, PointSet, _require_unit
+from .geometry import _UNIT_ATOL, PointSet, _normalize_rows, _require_unit, _row_norms
 from .rng import Rng
 
 __all__ = [
@@ -79,7 +80,7 @@ def _records(data: bytes):
 
 
 def _apply_unit_policy(raw: np.ndarray, norms: np.ndarray, off: np.ndarray, origin: str) -> np.ndarray:
-    """Normalize rows to unit norm, leaving already-unit rows untouched.
+    """Normalize rows to unit norm in place, leaving already-unit rows untouched.
 
     ``norms`` are the norms of ``raw``'s rows and ``off`` how far the rows as
     read were from unit norm. Rows within 1e-9 (the PointSet tolerance) of
@@ -96,7 +97,6 @@ def _apply_unit_policy(raw: np.ndarray, norms: np.ndarray, off: np.ndarray, orig
         )
     fix = np.flatnonzero(off > _UNIT_ATOL)
     if fix.size:
-        raw = raw.copy()
         raw[fix] /= norms[fix, None]
         _require_unit(np.linalg.norm(raw[fix], axis=1), fix)
     return raw
@@ -107,14 +107,13 @@ def _checked_points(raw: np.ndarray, origin: str, offset_of) -> PointSet:
 
     ``offset_of(row, column)`` is the byte offset an error at that entry
     reports. These checks and the unit policy establish the PointSet
-    invariants, so the set is built without checking its rows again.
+    invariants, so the set is built without checking its rows again. Rows
+    are rescaled in ``raw`` itself, which the caller hands over.
     """
-    bad = ~np.isfinite(raw)
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad.ravel())), raw.shape[1])
+    norms, bad = _row_norms(raw)
+    if bad is not None:
+        row, col = bad
         raise ParseError(f"non-finite value at row {row}, column {col}", offset_of(row, col))
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(raw, axis=1)
     off = np.abs(norms - 1.0)
     # near either end of the float64 range the sum of squares overflows or
     # loses bits to subnormals; those rows, and only those, are divided by
@@ -125,7 +124,6 @@ def _checked_points(raw: np.ndarray, origin: str, offset_of) -> PointSet:
         if (peak == 0.0).any():
             row = int(far[np.argmax(peak == 0.0)])
             raise ParseError(f"row {row} is all zeros", offset_of(row, 0))
-        raw = raw.copy()
         raw[far] /= peak[:, None]
         norms[far] = np.linalg.norm(raw[far], axis=1)
         with np.errstate(over="ignore"):
@@ -134,30 +132,38 @@ def _checked_points(raw: np.ndarray, origin: str, offset_of) -> PointSet:
 
 
 def load_pointset(path) -> PointSet:
-    data = Path(path).read_bytes()
-    if len(data) < len(_MAGIC) or data[:5] != _MAGIC:
-        raise ParseError(f"bad magic {bytes(data[:5])!r}, expected {_MAGIC!r}", 0)
-    if len(data) < _HEADER_LEN:
-        raise ParseError("header truncated", len(data))
-    n, N = struct.unpack("<QQ", data[5:_HEADER_LEN])
-    if N < 1 or n < 2:
-        raise ParseError(f"header declares N={N}, n={n}; need N >= 1 and n >= 2", 5)
-    expected = _HEADER_LEN + 8 * N * n
-    if len(data) != expected:
-        raise ParseError(
-            f"length mismatch: file has {len(data)} bytes, header implies {expected}",
-            min(len(data), expected),
-        )
-    raw = np.frombuffer(data, dtype="<f8", offset=_HEADER_LEN).reshape(N, n).astype(np.float64)
+    """A PSET1 file's point set. The file's size is checked against its
+    header before anything is allocated, and the doubles are read straight
+    into the set's array."""
+    with open(path, "rb") as f:
+        head = f.read(_HEADER_LEN)
+        if len(head) < len(_MAGIC) or head[:5] != _MAGIC:
+            raise ParseError(f"bad magic {head[:5]!r}, expected {_MAGIC!r}", 0)
+        if len(head) < _HEADER_LEN:
+            raise ParseError("header truncated", len(head))
+        n, N = struct.unpack("<QQ", head[5:])
+        if N < 1 or n < 2:
+            raise ParseError(f"header declares N={N}, n={n}; need N >= 1 and n >= 2", 5)
+        expected = _HEADER_LEN + 8 * N * n
+        size = os.fstat(f.fileno()).st_size
+        if size == expected:
+            raw = np.empty((N, n), dtype="<f8")
+            size = _HEADER_LEN + f.readinto(raw)
+        if size != expected:
+            raise ParseError(
+                f"length mismatch: file has {size} bytes, header implies {expected}",
+                min(size, expected),
+            )
+    # a no-op on little-endian machines
+    raw = raw.astype(np.float64, copy=False)
     return _checked_points(raw, str(path), lambda row, col: _HEADER_LEN + 8 * (row * n + col))
 
 
 def save_pointset(ps: PointSet, path) -> None:
-    payload = np.ascontiguousarray(ps.points, dtype="<f8").tobytes()
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<QQ", ps.n, ps.N))
-        f.write(payload)
+        f.write(np.ascontiguousarray(ps.points, dtype="<f8"))
 
 
 def save_pointset_csv(ps: PointSet, path) -> None:
@@ -201,12 +207,12 @@ def save_codes(codes: np.ndarray, path) -> None:
         raise ValueError("codes must be an N x k matrix with k >= 1")
     # three bytes per entry: sign, "1", then "," or the row's closing newline
     text = np.empty(codes.shape + (3,), dtype=np.uint8)
-    text[..., 0] = np.where(codes > 0, ord("+"), ord("-"))
+    text[..., 0] = np.where(codes > 0, np.uint8(ord("+")), np.uint8(ord("-")))
     text[..., 1] = ord("1")
     text[..., 2] = ord(",")
     text[:, -1, 2] = ord("\n")
     with open(path, "wb") as f:
-        f.write(text.tobytes())
+        f.write(text)
 
 
 def _canonical_codes(data: bytes):
@@ -225,7 +231,7 @@ def _canonical_codes(data: bytes):
     plus = signs == ord("+")
     if not ((text[..., 1] == ord("1")).all() and (text[..., 2] == seps).all() and (plus | (signs == ord("-"))).all()):
         return None
-    return np.where(plus, 1, -1).astype(np.int8)
+    return np.where(plus, np.int8(1), np.int8(-1))
 
 
 def _parse_codes(data: bytes) -> np.ndarray:
@@ -353,16 +359,17 @@ def generate_pointset(kind: str, n: int, N: int, seed: int, params=None) -> Poin
     params = dict(params or {})
     rng = Rng(seed)
     if kind == "uniform_sphere":
-        raw = rng.stream("pointset:uniform_sphere").normals(N * n).reshape(N, n)
-        rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        rows = rng.stream("pointset:uniform_sphere").normals(N * n).reshape(N, n)
+        _normalize_rows(rows)
     elif kind == "flat_signs":
-        signs = rng.stream("pointset:flat_signs").rademacher(N * n).reshape(N, n)
-        rows = signs / math.sqrt(n)
+        rows = rng.stream("pointset:flat_signs").rademacher(N * n).reshape(N, n)
+        rows /= math.sqrt(n)
     elif kind == "spiky":
         noise = float(params.pop("noise", 0.01))
-        raw = noise * rng.stream("pointset:spiky").normals(N * n).reshape(N, n)
-        raw[np.arange(N), np.arange(N) % n] += 1.0
-        rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        rows = rng.stream("pointset:spiky").normals(N * n).reshape(N, n)
+        rows *= noise
+        rows[np.arange(N), np.arange(N) % n] += 1.0
+        _normalize_rows(rows)
     elif kind == "clustered_pairs":
         theta = float(params.pop("theta", 0.1))
         if N % 2:
@@ -372,15 +379,17 @@ def generate_pointset(kind: str, n: int, N: int, seed: int, params=None) -> Poin
         s = rng.stream("pointset:clustered_pairs")
         half = N // 2
         base = s.normals(half * n).reshape(half, n)
-        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        _normalize_rows(base)
         aux = s.normals(half * n).reshape(half, n)
-        aux -= np.sum(aux * base, axis=1, keepdims=True) * base
-        aux /= np.linalg.norm(aux, axis=1, keepdims=True)
+        for block in embedders._row_blocks(half, n):
+            aux[block] -= np.sum(aux[block] * base[block], axis=1, keepdims=True) * base[block]
+        _normalize_rows(aux)
         ang = theta * math.pi
-        partners = math.cos(ang) * base + math.sin(ang) * aux
         rows = np.empty((N, n))
         rows[0::2] = base
-        rows[1::2] = partners
+        partners = np.multiply(base, math.cos(ang), out=rows[1::2])
+        aux *= math.sin(ang)
+        partners += aux
     else:
         raise ValueError(f"unknown point-set kind {kind!r}")
     if params:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _blas, embedders
 from ._pool import fan_out
-from .geometry import _PRE_ATOL, PointSet, _angular_pairs, _coherence, _hamming_pairs, angular_distance
+from .geometry import _PRE_ATOL, PointSet, _angular_pairs, _coherence, _hamming_pairs, _pair_blocks, angular_distance
 from .rng import Rng, derive_seed
 from .transforms import _shift_rows
 
@@ -230,11 +230,13 @@ def _distortion(ps: PointSet, pairs, kind: str, k: int, trials: int, seed: int, 
     # the per-trial (max, mean) rows of distortion_experiment, with the pairs
     # and angles of _angular_pairs(ps.points) given; the caller pins BLAS to
     # one thread
-    iu, ang = pairs
+    upper, ang = pairs
 
     def run_trial(trial_seed: int):
         codes = embedders.embed_points(embedders.sample_operator(kind, ps.n, k, trial_seed, r_dist), ps.points)
-        return _max_mean(np.abs(_hamming_pairs(codes, iu) - ang))
+        diff = _hamming_pairs(codes, upper)
+        diff -= ang
+        return _max_mean(np.abs(diff, out=diff))
 
     return _run_trials(run_trial, trials, seed, threads)
 
@@ -252,18 +254,37 @@ def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, 
         raise ValueError(
             f"codes must be an N x k matrix with N={ps.N}, got shape {codes.shape}"
         )
-    iu, ang = _angular_pairs(ps.points)
-    ham = _hamming_pairs(codes, iu)
-    diff = np.abs(ham - ang)
-    worst = np.zeros(ps.N)
-    np.maximum.at(worst, iu[0], diff)
-    np.maximum.at(worst, iu[1], diff)
+    upper, ang = _angular_pairs(ps.points)
+    ham = _hamming_pairs(codes, upper)
+    diff = np.subtract(ham, ang)
+    np.abs(diff, out=diff)
+    worst = _worst_per_point(upper, diff)
     return _distortion_report(
         ps, kind, codes.shape[1], seed, delta_target, [_max_mean(diff)],
-        pairs=PairColumns(iu[0], iu[1], ham, ang, diff),
+        pairs=PairColumns(*np.nonzero(upper), ham, ang, diff),
         worst_per_point=worst,
         point_success_fraction=int(np.count_nonzero(worst <= delta_target)) / ps.N,
     )
+
+
+def _worst_per_point(upper: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Each point's largest diff over its pairs (0.0 for a point with none).
+
+    ``diff`` holds one value per pair of ``upper``, in its order, and no
+    value below 0. The pairs of each block of rows are laid out in a reused
+    buffer, zero elsewhere: its row maxima are their worst for the first
+    point, its column maxima their worst for the second.
+    """
+    N = upper.shape[0]
+    worst = np.zeros(N)
+    buf = np.empty(max(embedders._BLOCK_ENTRIES, N))
+    for a, b, mask, run in _pair_blocks(upper):
+        block = buf[: mask.size].reshape(mask.shape)
+        block.fill(0.0)
+        block[mask] = diff[run]
+        np.maximum(worst[a:b], block.max(axis=1), out=worst[a:b])
+        np.maximum(worst[a:], block.max(axis=0), out=worst[a:])
+    return worst
 
 
 @_blas.one_thread()

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import math
 import os
 import struct
 import subprocess
@@ -12,7 +13,6 @@ import pytest
 
 from circembed import _blas, embedders, rng
 from circembed.cli import main
-from circembed.geometry import _angular_pairs, _hamming_pairs
 from circembed.io import load_codes, load_pointset, load_result
 
 
@@ -259,8 +259,12 @@ def test_eval_pairs_file_holds_the_exact_pair_values(tmp_path):
     header, *lines = pairs.read_text().splitlines()
     assert header == "i,j,hamming,angular,diff"
     rows = [line.split(",") for line in lines]
-    iu, ang = _angular_pairs(load_pointset(pts).points)
-    ham = _hamming_pairs(load_codes(codes), iu)
+    # the float64 formulas over np.triu_indices
+    P = load_pointset(pts).points
+    C = load_codes(codes).astype(np.float64)
+    iu = np.triu_indices(7, 1)
+    ang = np.arccos(np.clip((P @ P.T)[iu], -1.0, 1.0)) / math.pi
+    ham = (16 - (C @ C.T)[iu]) / 32.0
     assert [(int(r[0]), int(r[1])) for r in rows] == list(zip(iu[0].tolist(), iu[1].tolist()))
     for column, expected in ((2, ham), (3, ang), (4, np.abs(ham - ang))):
         got = np.array([float(r[column]) for r in rows])
@@ -309,7 +313,7 @@ def test_all_pairs_over_the_cap_is_usage_error_before_any_allocation(tmp_path, m
     monkeypatch.setattr(embedders, "_MAX_ENTRIES", 16 * 16 - 1)
     for argv in commands:
         with monkeypatch.context() as m:
-            m.setattr(np, "triu_indices", lambda *a: pytest.fail("built the pair indices"))
+            m.setattr(np, "tri", lambda *a, **kw: pytest.fail("built the pair mask"))
             assert run(*argv) == 2
         assert "over the cap of 255" in capsys.readouterr().err
     assert set(tmp_path.iterdir()) == outputs

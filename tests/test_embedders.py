@@ -295,6 +295,17 @@ def test_each_sampler_checks_the_cap_before_drawing(monkeypatch):
             sampler(*over, 0)
 
 
+def test_each_structured_sampler_checks_r_dist_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking r_dist")
+
+    monkeypatch.setattr(Stream, "normals", no_draw)
+    monkeypatch.setattr(Stream, "rademacher", no_draw)
+    for sampler in (embedders.sample_circulant_operator, embedders.sample_randomized_operator):
+        with pytest.raises(ValueError, match=f"expected one of {', '.join(embedders.R_DISTS)}"):
+            sampler(16, 4, 0, "uniform")
+
+
 def test_deserialize_over_the_cap_is_parse_error(monkeypatch):
     blob = serialize_operator(sample_operator("gaussian", 16, 5, 0))
     monkeypatch.setattr(embedders, "_MAX_ENTRIES", 64)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circembed import geometry
+from circembed import embedders, geometry
 from circembed.geometry import (
     CoherenceStats,
     PointSet,
@@ -140,6 +140,72 @@ def test_pointset_validates_rows():
         PointSet(points=np.ones((0, 4)))
     ps = PointSet(points=np.eye(3))
     assert ps.N == 3 and ps.n == 3
+
+
+@pytest.mark.parametrize("entries", [None, 64])
+@pytest.mark.parametrize("n, N", [(2, 1), (3, 50), (16, 9), (64, 33), (100, 7), (1000, 70)])
+def test_row_norms_have_the_bits_of_one_norm_call(monkeypatch, entries, n, N):
+    if entries:
+        monkeypatch.setattr(embedders, "_BLOCK_ENTRIES", entries)
+    P = Stream(n, "norms").normals(N * n).reshape(N, n)
+    norms, bad = geometry._row_norms(P)
+    assert bad is None
+    assert norms.tobytes() == np.linalg.norm(P, axis=1).tobytes()
+    # the first non-finite entry in row-major order, across blocks
+    for row, col in ((N - 1, n - 1), (N // 2, 1), (0, 0)):
+        P[row, col] = np.inf if row else np.nan
+        assert geometry._row_norms(P) == (None, (row, col))
+
+
+# ---------------------------------------------------------- pairs
+
+def _float64_angles(points):
+    """Every pair's angle by the formula over np.triu_indices."""
+    iu = np.triu_indices(points.shape[0], 1)
+    return np.arccos(np.clip((points @ points.T)[iu], -1.0, 1.0)) / math.pi
+
+
+def _float64_hamming(codes):
+    """Every pair's Hamming distance by the float64 formula over np.triu_indices."""
+    iu = np.triu_indices(codes.shape[0], 1)
+    C = codes.astype(np.float64)
+    k = C.shape[1]
+    return (k - (C @ C.T)[iu]) / (2.0 * k)
+
+
+def _codes(N, k, seed):
+    return Stream(seed, "codes").rademacher(N * k).reshape(N, k).astype(np.int8)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 64])
+def test_pair_mask_selects_the_pairs_in_triu_indices_order(N):
+    P = generate_pointset("uniform_sphere", 12, N, N).points
+    upper, ang = geometry._angular_pairs(P)
+    iu = np.triu_indices(N, 1)
+    assert upper.shape == (N, N) and upper.dtype == bool
+    assert all(np.array_equal(a, b) for a, b in zip(np.nonzero(upper), iu))
+    assert ang.tobytes() == _float64_angles(P).tobytes()
+
+
+@pytest.mark.parametrize("entries", [None, 50, 600])
+@pytest.mark.parametrize("N, k", [(2, 1), (9, 5), (40, 64), (33, 257), (130, 1000)])
+def test_hamming_pairs_have_the_bits_of_the_float64_formula(monkeypatch, entries, N, k):
+    if entries:
+        monkeypatch.setattr(embedders, "_BLOCK_ENTRIES", entries)
+    codes = _codes(N, k, k)
+    upper = ~np.tri(N, dtype=bool)
+    want = _float64_hamming(codes)
+    assert geometry._hamming_pairs(codes, upper).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 3, 4])
+@pytest.mark.parametrize("k", [3, 7, 12])
+def test_hamming_pairs_are_exact_across_float32_chunks(monkeypatch, width, k):
+    # a chunk of 2^24 columns, as the float32 products take them, made small
+    monkeypatch.setattr(geometry, "_F32_COLUMNS", width)
+    codes = _codes(20, k, 3 * k + width)
+    want = _float64_hamming(codes)
+    assert geometry._hamming_pairs(codes, ~np.tri(20, dtype=bool)).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------- coherence

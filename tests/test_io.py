@@ -1,11 +1,13 @@
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from circembed import _pool, embedders, rng
 from circembed import io as circembed_io
 from circembed.errors import ParseError
 from circembed.geometry import angular_distance, coherence
@@ -25,13 +27,24 @@ from circembed.io import (
     save_pointset_csv,
     save_result,
 )
-from circembed.rng import Stream
+from circembed.rng import Rng, Stream
 
 
 def write_pset(path, rows):
     rows = np.asarray(rows, dtype="<f8")
     N, n = rows.shape
     path.write_bytes(b"PSET1" + struct.pack("<QQ", n, N) + rows.tobytes())
+
+
+def traced_peak(fn):
+    """Bytes fn allocates at its peak, beyond what was allocated before it, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------- binary
@@ -73,6 +86,51 @@ def test_pset_length_mismatch(tmp_path):
     with pytest.raises(ParseError) as ei:
         load_pointset(p)
     assert ei.value.offset == 21 + 8 * 7  # file ends before the declared payload
+
+
+def test_pset_size_is_checked_before_anything_is_read(tmp_path):
+    # a header of 2 x 2 points before 4 MiB of trailing bytes
+    p = tmp_path / "long.pset"
+    p.write_bytes(b"PSET1" + struct.pack("<QQ", 2, 2) + bytes(1 << 22))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="file has 4194325 bytes, header implies 53") as ei:
+            load_pointset(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.offset == 53
+    assert peak < 65536
+    # a header that asks for 2^64 - 1 rows of 2^32 entries
+    p.write_bytes(b"PSET1" + struct.pack("<QQ", 1 << 32, (1 << 64) - 1))
+    with pytest.raises(ParseError, match="length mismatch") as ei:
+        load_pointset(p)
+    assert ei.value.offset == 21
+
+
+def test_load_pointset_peaks_within_the_array_and_one_block(tmp_path):
+    ps = generate_pointset("uniform_sphere", 300, 300, 2)
+    p = tmp_path / "a.pset"
+    save_pointset(ps, p)
+    peak = traced_peak(lambda: load_pointset(p))
+    # the file's bytes, a converted copy and an N x n temporary of the norms
+    # each took another array
+    assert peak <= ps.points.nbytes + 8 * embedders._BLOCK_ENTRIES + 65536
+
+
+def test_save_pointset_writes_the_array_without_a_copy(tmp_path):
+    ps = generate_pointset("uniform_sphere", 300, 300, 2)
+    assert traced_peak(lambda: save_pointset(ps, tmp_path / "a.pset")) < 65536
+
+
+def test_generate_uniform_sphere_peaks_within_the_array_and_its_draw(tmp_path):
+    n = N = 1000
+    pairs = n * N // 2
+    # the draw's temporaries: two uniform chunks on each of as many worker
+    # threads as there are chunks to draw; the normalization's are a block
+    draw = 16 * rng._CHUNK * min(_pool.WORKERS, -(-pairs // rng._CHUNK))
+    peak = traced_peak(lambda: generate_pointset("uniform_sphere", n, N, 3))
+    assert peak <= 8 * n * N + max(draw, 8 * embedders._BLOCK_ENTRIES) + 65536
 
 
 def test_pset_bad_header_counts(tmp_path):
@@ -561,3 +619,30 @@ def test_all_kinds_yield_unit_rows():
     ]:
         ps = generate_pointset(kind, 16, 6, 9, params=params)
         np.testing.assert_allclose(np.linalg.norm(ps.points, axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("entries", [None, 40])
+def test_generated_points_have_the_bits_of_whole_array_formulas(monkeypatch, entries):
+    # each kind as one expression over the whole array, without blocks or in-place steps
+    if entries:
+        monkeypatch.setattr(embedders, "_BLOCK_ENTRIES", entries)
+    n, N, seed = 13, 10, 8
+    r = Rng(seed)
+    raw = r.stream("pointset:uniform_sphere").normals(N * n).reshape(N, n)
+    want = {"uniform_sphere": raw / np.linalg.norm(raw, axis=1, keepdims=True)}
+    want["flat_signs"] = r.stream("pointset:flat_signs").rademacher(N * n).reshape(N, n) / math.sqrt(n)
+    raw = 0.01 * r.stream("pointset:spiky").normals(N * n).reshape(N, n)
+    raw[np.arange(N), np.arange(N) % n] += 1.0
+    want["spiky"] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    s = r.stream("pointset:clustered_pairs")
+    base = s.normals(N // 2 * n).reshape(N // 2, n)
+    base = base / np.linalg.norm(base, axis=1, keepdims=True)
+    aux = s.normals(N // 2 * n).reshape(N // 2, n)
+    aux = aux - np.sum(aux * base, axis=1, keepdims=True) * base
+    aux = aux / np.linalg.norm(aux, axis=1, keepdims=True)
+    rows = np.empty((N, n))
+    rows[0::2] = base
+    rows[1::2] = math.cos(0.1 * math.pi) * base + math.sin(0.1 * math.pi) * aux
+    want["clustered_pairs"] = rows
+    for kind, points in want.items():
+        assert generate_pointset(kind, n, N, seed).points.tobytes() == points.tobytes(), kind

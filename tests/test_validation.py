@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from circembed import validation
+from circembed import embedders, validation
 from circembed.embedders import embed_points, sample_operator
 from circembed.geometry import PointSet, angular_distance, coherence, hamming_normalized
 from circembed.io import generate_pointset
@@ -162,6 +163,51 @@ def test_evaluate_codes_worst_per_point_matches_loop(case):
     if case == "tie":
         i, j, diff = rep.pairs.i, rep.pairs.j, rep.pairs.diff
         assert np.count_nonzero(((i == 0) | (j == 0)) & (diff == rep.worst_per_point[0])) >= 2
+
+
+@pytest.mark.parametrize("entries", [None, 1, 30, 200])
+@pytest.mark.parametrize("N", [1, 2, 5, 41])
+def test_worst_per_point_is_the_largest_diff_of_each_point(monkeypatch, entries, N):
+    if entries:
+        monkeypatch.setattr(embedders, "_BLOCK_ENTRIES", entries)
+    ps = generate_pointset("uniform_sphere", 8, N, N)
+    rep = evaluate_codes(ps, embed_points(sample_operator("circulant", 8, 4, 2), ps.points))
+    # the scatter-max over both points of every pair
+    iu = np.triu_indices(N, 1)
+    want = np.zeros(N)
+    np.maximum.at(want, iu[0], rep.pairs.diff)
+    np.maximum.at(want, iu[1], rep.pairs.diff)
+    assert rep.worst_per_point.tobytes() == want.tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip((rep.pairs.i, rep.pairs.j), iu))
+
+
+def _traced_peak(fn):
+    """Bytes fn allocates at its peak, beyond what was allocated before it, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_codes_peaks_at_the_pair_columns_it_returns():
+    N = 300
+    ps = generate_pointset("uniform_sphere", 64, N, 6)
+    codes = embed_points(sample_operator("circulant", 64, 64, 1), ps.points)
+    peak = _traced_peak(lambda: evaluate_codes(ps, codes))
+    # five float64 or int64 columns of N(N-1)/2 pairs and an N x N bool mask;
+    # the N x N float64 Gram is gone before they are all built
+    assert peak <= 5 * 8 * (N * (N - 1) // 2) + N * N + 65536
+
+
+def test_a_distortion_trial_allocates_no_n_by_n_float64():
+    N = 600
+    ps = generate_pointset("uniform_sphere", 64, N, 6)
+    pairs = validation._angular_pairs(ps.points)
+    peak = _traced_peak(lambda: validation._distortion(ps, pairs, "circulant", 64, 1, 4, "gaussian", 1))
+    assert peak < 8 * N * N
 
 
 def test_distortion_experiment_reports_no_pointwise_fields():
