@@ -14,8 +14,9 @@ fourth times the pairwise layer once per repeat: coherence of N=1000 points at n
 sets its pruning bound helps least (spiky and clustered_pairs at n=N=1000,
 uniform_sphere at n=8, N=2000), evaluate_codes of N=1000 randomized codes
 with k=256 (what eval scores), save_result of that eval report, with its
-1,000 worst_per_point values (what eval writes), and save_pairs of its
-499,500 pairs (what eval --pairs writes). A fifth times the text readers
+1,000 worst_per_point values (what eval writes), _pair_table of the same
+codes (the columns eval --pairs recomputes) and save_pairs of its 499,500
+pairs (what eval --pairs writes). A fifth times the text readers
 at N=1000: load_codes of a CRLF codes file with k=256, which takes the line
 parser, and load_pointset_csv at n=1000. A sixth times one whole quick gate
 suite with as many trial threads as cores, the default of validate. A
@@ -104,6 +105,7 @@ from circembed.rng import Rng, Stream
 from circembed.transforms import circulant_apply, fwht
 from circembed.validation import (
     _distortion,
+    _pair_table,
     conditioning_experiment,
     decomposition_experiment,
     distortion_experiment,
@@ -191,6 +193,7 @@ def build_pairwise_cases(seed: int, tmp: str):
         stats=report.to_stats(),
         arrays={"worst_per_point": report.worst_per_point},
     )
+    table = _pair_table(ps, codes)
     worst = [generate_pointset(kind, n, N, seed) for kind, n, N in
              (("spiky", 1000, 1000), ("clustered_pairs", 1000, 1000), ("uniform_sphere", 8, 2000))]
     return [
@@ -200,7 +203,8 @@ def build_pairwise_cases(seed: int, tmp: str):
         ("coherence n=8 N=2000", lambda: coherence(worst[2])),
         ("evaluate_codes k=256", lambda: evaluate_codes(ps, codes)),
         ("save_result eval N=1000", lambda: save_result(doc, os.path.join(tmp, "eval.json"))),
-        ("save_pairs N=1000", lambda: save_pairs(report.pairs, os.path.join(tmp, "pairs.csv"))),
+        ("_pair_table k=256", lambda: _pair_table(ps, codes)),
+        ("save_pairs N=1000", lambda: save_pairs(table, os.path.join(tmp, "pairs.csv"))),
     ]
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -56,13 +57,24 @@ from .io import (
     save_pointset,
     save_result,
 )
-from .validation import evaluate_codes, run_gate_suite, sweep
+from .validation import _pair_table, evaluate_codes, run_gate_suite, sweep
 
 __all__ = ["main"]
 
 
 def _float_fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _finite_float(text: str) -> float:
+    # NaN and infinities have no JSON token, so no report could hold them
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finite_floats(text: str) -> list:
+    return [_finite_float(v) for v in text.split(",") if v]
 
 
 def cmd_gen(args) -> int:
@@ -138,7 +150,7 @@ def cmd_eval(args) -> int:
     else:
         sys.stdout.write(doc.to_json())
     if args.pairs:
-        save_pairs(report.pairs, args.pairs)
+        save_pairs(_pair_table(ps, codes), args.pairs)
         print(f"wrote {args.pairs}", file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
@@ -149,11 +161,10 @@ _SWEEP_COLUMNS = "kind,n,N,k,delta,trial,max_distortion,mean_distortion"
 def cmd_sweep(args) -> int:
     ps = load_pointset(args.pointset)
     k_values = [int(v) for v in args.k_list.split(",") if v]
-    delta_values = [float(v) for v in args.delta_list.split(",") if v]
-    if not k_values or not delta_values:
+    if not k_values or not args.delta_list:
         raise ValueError("--k-list and --delta-list must be nonempty")
     reports = sweep(
-        ps, args.kind, k_values, delta_values, args.trials, args.seed,
+        ps, args.kind, k_values, args.delta_list, args.trials, args.seed,
         r_dist=args.r_dist, threads=args.threads,
     )
     lines = [_SWEEP_COLUMNS]
@@ -183,7 +194,7 @@ def cmd_sweep(args) -> int:
                 "pointset": str(args.pointset),
                 "kind": args.kind,
                 "k_list": k_values,
-                "delta_list": delta_values,
+                "delta_list": args.delta_list,
                 "trials": args.trials,
                 "seed": args.seed,
                 "r_dist": args.r_dist,
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default=None, choices=KINDS)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--r-dist", default="gaussian", choices=R_DISTS)
-    p.add_argument("--delta", type=float, default=0.15, help="distortion target")
+    p.add_argument("--delta", type=_finite_float, default=0.15, help="distortion target")
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
     p.add_argument("--pairs", default=None, help="also write every pair as CSV to this path")
     _add_common(p, threads=False)
@@ -311,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pointset", required=True)
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--k-list", required=True, help="comma-separated code lengths")
-    p.add_argument("--delta-list", required=True, help="comma-separated distortion targets")
+    p.add_argument("--delta-list", type=_finite_floats, required=True, help="comma-separated distortion targets")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--r-dist", default="gaussian", choices=R_DISTS)
     p.add_argument("--csv-out", required=True)

@@ -14,7 +14,7 @@ needed to reproduce the run.
 
 Pair tables (``eval --pairs``): a ``i,j,hamming,angular,diff`` header, then
 one row per pair with each float written by ``repr``, so ``float()`` reads
-back the exact float64.
+back the exact float64. No report holds them; ``validation._pair_table`` builds them.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .transforms import _shift_rows
 __all__ = [
     "ConditionCheck",
     "DistortionReport",
-    "PairColumns",
     "ConditioningReport",
     "ModulationReport",
     "DecompositionReport",
@@ -138,18 +137,10 @@ def check_condition1(n, k, N, delta, rho_cross, c1=1.0, c2=1.0, c3=1.0) -> Condi
 # distortion
 
 
-class PairColumns(NamedTuple):
-    """Every pair of one evaluation as numpy columns, in ``np.triu_indices`` order."""
-
-    i: np.ndarray
-    j: np.ndarray
-    hamming: np.ndarray
-    angular: np.ndarray
-    diff: np.ndarray  # |hamming - angular|
-
-
 @dataclass(frozen=True)
 class DistortionReport:
+    """Pair statistics over one or more trials; no report holds the pairs themselves."""
+
     kind: str
     n: int
     N: int
@@ -163,7 +154,6 @@ class DistortionReport:
     per_trial_max: tuple
     per_trial_mean: tuple
     # set by evaluate_codes only
-    pairs: Optional[PairColumns] = None
     worst_per_point: Optional[np.ndarray] = None  # each point's largest diff over its pairs
     point_success_fraction: Optional[float] = None  # share of points whose worst pair is <= delta_target
 
@@ -176,6 +166,11 @@ class DistortionReport:
         if self.point_success_fraction is not None:
             stats["point_success_fraction"] = self.point_success_fraction
         return stats
+
+
+def _score(ham: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """|hamming - angular| of each pair, computed in the Hamming column ``ham``."""
+    return np.abs(np.subtract(ham, ang, out=ham), out=ham)
 
 
 def _max_mean(diff: np.ndarray) -> tuple:
@@ -227,16 +222,13 @@ def distortion_experiment(
 
 
 def _distortion(ps: PointSet, pairs, kind: str, k: int, trials: int, seed: int, r_dist: str, threads: int) -> list:
-    # the per-trial (max, mean) rows of distortion_experiment, with the pairs
-    # and angles of _angular_pairs(ps.points) given; the caller pins BLAS to
-    # one thread
+    # the per-trial (max, mean) rows of distortion_experiment, given
+    # _angular_pairs(ps.points); the caller pins BLAS to one thread
     upper, ang = pairs
 
     def run_trial(trial_seed: int):
         codes = embedders.embed_points(embedders.sample_operator(kind, ps.n, k, trial_seed, r_dist), ps.points)
-        diff = _hamming_pairs(codes, upper)
-        diff -= ang
-        return _max_mean(np.abs(diff, out=diff))
+        return _max_mean(_score(_hamming_pairs(codes, upper), ang))
 
     return _run_trials(run_trial, trials, seed, threads)
 
@@ -245,26 +237,30 @@ def _distortion(ps: PointSet, pairs, kind: str, k: int, trials: int, seed: int, 
 def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, kind: str = "codes", seed: int = 0) -> DistortionReport:
     """Distortion of precomputed codes against a point set (single trial).
 
-    Besides the pair statistics, the report keeps every pair as columns and
-    each point's worst distortion, the quantity of the paper's per-point
-    claim (0.0 for a point with no pairs).
+    Besides the pair statistics, the report keeps each point's worst
+    distortion, the quantity of the paper's per-point claim (0.0 for a point
+    with no pairs). It keeps no pair: ``_pair_table`` recomputes them.
     """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[0] != ps.N:
-        raise ValueError(
-            f"codes must be an N x k matrix with N={ps.N}, got shape {codes.shape}"
-        )
+        raise ValueError(f"codes must be an N x k matrix with N={ps.N}, got shape {codes.shape}")
     upper, ang = _angular_pairs(ps.points)
-    ham = _hamming_pairs(codes, upper)
-    diff = np.subtract(ham, ang)
-    np.abs(diff, out=diff)
+    diff = _score(_hamming_pairs(codes, upper), ang)
     worst = _worst_per_point(upper, diff)
     return _distortion_report(
         ps, kind, codes.shape[1], seed, delta_target, [_max_mean(diff)],
-        pairs=PairColumns(*np.nonzero(upper), ham, ang, diff),
         worst_per_point=worst,
         point_success_fraction=int(np.count_nonzero(worst <= delta_target)) / ps.N,
     )
+
+
+@_blas.one_thread()
+def _pair_table(ps: PointSet, codes: np.ndarray) -> tuple:
+    """The columns (i, j, hamming, angular, diff) of every pair, in ``np.triu_indices``
+    order, of codes that ``evaluate_codes`` accepts; diff holds the bits it scores."""
+    upper, ang = _angular_pairs(ps.points)
+    ham = _hamming_pairs(codes, upper)
+    return (*np.nonzero(upper), ham, ang, _score(ham.copy(), ang))
 
 
 def _worst_per_point(upper: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -346,6 +342,22 @@ def _i_theta(k: int, theta: float) -> np.ndarray:
     return out
 
 
+def _pair_trials(sample: Callable, n: int, k: int, trials: int, seed: int, threads: int) -> list:
+    """[sample(r, S) for each trial's n normals r, then k distinct rows S of n], in trial order."""
+
+    def run_trial(trial_seed: int):
+        st = Rng(trial_seed)
+        return sample(st.stream("r").normals(n), st.stream("S").index_subset(n, k))
+
+    return _run_trials(run_trial, trials, seed, threads)
+
+
+def _shift_pair(x, y, r, S) -> tuple:
+    """The modulated shifts of x and of y at the rows S: shift(r * x, S[t]) and shift(r * y, S[t])."""
+    rv, Sv = np.asarray(r, dtype=np.float64), np.asarray(S, dtype=np.int64)
+    return tuple(_shift_rows(rv * np.asarray(v, dtype=np.float64), Sv) for v in (x, y))
+
+
 def conditioning_sample(x, y, r, S, theta: Optional[float] = None) -> float:
     """sigma_max(M^T M - I_theta) for one draw of (r, S).
 
@@ -354,16 +366,10 @@ def conditioning_sample(x, y, r, S, theta: Optional[float] = None) -> float:
     cos(theta*pi) off-diagonal blocks. The norm is the largest |eigenvalue|
     of the symmetric difference, from ``eigvalsh``.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    rv = np.asarray(r, dtype=np.float64)
-    Sv = np.asarray(S, dtype=np.int64)
-    if theta is None:
-        theta = angular_distance(xv, yv)
-    k = Sv.size
-    cols = np.concatenate([_shift_rows(rv * xv, Sv), _shift_rows(rv * yv, Sv)], axis=0)
+    cols = np.concatenate(_shift_pair(x, y, r, S))  # the 2k columns of M, as rows
+    theta = angular_distance(x, y) if theta is None else theta
     G = cols @ cols.T  # (2k, 2k) Gram of the columns of M
-    return float(np.abs(_blas.eigvalsh(G - _i_theta(k, theta))).max())
+    return float(np.abs(_blas.eigvalsh(G - _i_theta(cols.shape[0] // 2, theta))).max())
 
 
 @_blas.one_thread()
@@ -376,13 +382,7 @@ def conditioning_experiment(x, y, k: int, trials: int, seed: int, threads: int =
     theta = angular_distance(xv, yv)
     rho = _coherence(np.stack([xv, yv])).rho_cross
 
-    def run_trial(trial_seed: int) -> float:
-        st = Rng(trial_seed)
-        r = st.stream("r").normals(n)
-        S = st.stream("S").index_subset(n, k)
-        return conditioning_sample(xv, yv, r, S, theta)
-
-    samples = tuple(_run_trials(run_trial, trials, seed, threads))
+    samples = tuple(_pair_trials(lambda r, S: conditioning_sample(xv, yv, r, S, theta), n, k, trials, seed, threads))
     return ConditioningReport(
         n=n,
         k=int(k),
@@ -507,16 +507,9 @@ def decomposition_sample(x, y, r, S):
 
     Returns (max column norm of P, spectral norm of P, degenerate flag).
     """
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    rv = np.asarray(r, dtype=np.float64)
-    Sv = np.asarray(S, dtype=np.int64)
-    X = _shift_rows(rv * xv, Sv)
-    Y = _shift_rows(rv * yv, Sv)
-    k = Sv.size
-    C = np.empty((2 * k, xv.size))
-    C[0::2] = X
-    C[1::2] = Y
+    X, Y = _shift_pair(x, y, r, S)
+    k, n = X.shape
+    C = np.stack((X, Y), axis=1).reshape(2 * k, n)  # rows X_0, Y_0, X_1, Y_1, ...
     R = _blas.qr_r(C.T)
     spans = np.abs(np.diagonal(R))
     if spans.size < 2 * k or (spans < _SPAN_TOL * np.maximum(1.0, np.linalg.norm(C, axis=1))).any():
@@ -568,13 +561,8 @@ def decomposition_experiment(x, y, k: int, delta: float, trials: int, seed: int,
     if not 1 <= k or 2 * k > n:
         raise ValueError(f"need 1 <= k and 2k <= n, got k={k}, n={n}")
 
-    def run_trial(trial_seed: int):
-        st = Rng(trial_seed)
-        r = st.stream("r").normals(n)
-        S = st.stream("S").index_subset(n, k)
-        return decomposition_sample(xv, yv, r, S)
-
-    max_cols, p_norms, degenerate = zip(*_run_trials(run_trial, trials, seed, threads))
+    rows = _pair_trials(lambda r, S: decomposition_sample(xv, yv, r, S), n, k, trials, seed, threads)
+    max_cols, p_norms, degenerate = zip(*rows)
     return DecompositionReport(
         n=n,
         k=int(k),

@@ -21,7 +21,7 @@ import pytest
 import circembed
 from circembed import _blas, embedders, validation
 from circembed.embedders import embed, sample_operator
-from circembed.io import generate_pointset
+from circembed.io import generate_pointset, save_pointset
 from circembed.rng import Rng
 from circembed.transforms import _shift_rows
 from circembed.validation import (
@@ -130,6 +130,33 @@ def test_evaluate_codes_runs_on_one_blas_thread_and_restores_it(two_blas_threads
     with pytest.raises(ValueError, match="N x k"):
         evaluate_codes(ps, codes[:2])
     assert _blas.thread_count() == 2
+
+
+@needs_pin
+def test_eval_pairs_table_is_the_same_at_any_blas_thread_count_and_matches_the_report(tmp_path):
+    from circembed.cli import main
+
+    lib = _blas._functions()
+    before = lib.get()
+    # a size at which the Gram of two BLAS threads differs in its last bits
+    ps = generate_pointset("uniform_sphere", 64, 300, 3)
+    save_pointset(ps, tmp_path / "pts.pset")
+    written = []
+    try:
+        for count in (1, 2):
+            lib.set(count)
+            d = tmp_path / f"blas{count}"
+            d.mkdir()
+            assert main(["eval", "--pointset", str(tmp_path / "pts.pset"), "--kind", "randomized", "--k", "64",
+                         "--out", str(d / "eval.json"), "--pairs", str(d / "pairs.csv")]) == 0
+            assert lib.get() == count
+            written.append({name: (d / name).read_bytes() for name in ("eval.json", "pairs.csv")})
+    finally:
+        lib.set(before)
+    assert written[0] == written[1]
+    diff = np.array([float(line.rsplit(",", 1)[1]) for line in written[0]["pairs.csv"].decode().splitlines()[1:]])
+    stats = json.loads(written[0]["eval.json"])["stats"]
+    assert (float(diff.max()), float(diff.mean())) == (stats["max_distortion"], stats["mean_distortion"])
 
 
 class _Stop(Exception):

@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circembed import _blas, embedders, rng
 from circembed.cli import main
@@ -273,6 +275,16 @@ def test_eval_pairs_file_holds_the_exact_pair_values(tmp_path):
     assert set(load_result(tmp_path / "r.json").arrays) == {"worst_per_point"}
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "1e999"])
+def test_eval_non_finite_delta_is_usage_error_and_writes_nothing(tmp_path, monkeypatch, delta):
+    pts = gen_pointset(tmp_path, N=4)
+    outputs = set(tmp_path.iterdir())
+    monkeypatch.setattr(embedders, "sample_operator", lambda *a: pytest.fail("sampled an operator"))
+    assert run("eval", "--pointset", pts, "--kind", "gaussian", "--k", 8, f"--delta={delta}",
+               "--out", tmp_path / "r.json", "--pairs", tmp_path / "p.csv") == 2
+    assert set(tmp_path.iterdir()) == outputs
+
+
 def test_eval_without_codes_or_kind_is_usage_error(tmp_path):
     pts = gen_pointset(tmp_path)
     assert run("eval", "--pointset", pts) == 2
@@ -347,6 +359,16 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
     doc = load_result(summary)
     assert doc.kind == "sweep"
     assert len(doc.arrays["cells"]) == 4
+
+
+@pytest.mark.parametrize("deltas", ["inf,nan", "0.1,nan", "-inf", "0.1,1e400"])
+def test_sweep_non_finite_delta_is_usage_error_and_writes_nothing(tmp_path, monkeypatch, deltas):
+    pts = gen_pointset(tmp_path, N=4)
+    outputs = set(tmp_path.iterdir())
+    monkeypatch.setattr(embedders, "sample_operator", lambda *a: pytest.fail("sampled an operator"))
+    assert run("sweep", "--pointset", pts, "--kind", "gaussian", "--k-list", 8, f"--delta-list={deltas}",
+               "--trials", 2, "--csv-out", tmp_path / "s.csv", "--json-out", tmp_path / "s.json") == 2
+    assert set(tmp_path.iterdir()) == outputs
 
 
 def test_sweep_bad_k_list_is_usage_error(tmp_path):
@@ -439,6 +461,61 @@ def test_main_reuses_one_parser(capsys):
         gc.garbage.clear()
         gc.enable()
     assert parsers == []
+
+
+# ---------------------------------------------------------------- outside input
+
+_u64 = st.integers(0, 2**64 - 1)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A point set (n=8, N=4) and codes of length 8 with their sidecar."""
+    d = tmp_path_factory.mktemp("fuzz")
+    gen_pointset(d, n=8, N=4)
+    assert run("embed", "--pointset", d / "pts.pset", "--kind", "circulant", "--k", 8,
+               "--out", d / "c.csv") == 0
+    return d
+
+
+# records of any length, and well-formed ones with any kind byte, n, k and seed;
+# a record is read without drawing, so any n and k is safe
+_records = st.one_of(
+    st.binary(max_size=29),
+    st.binary(min_size=30, max_size=30),
+    st.binary(min_size=31, max_size=64),
+    st.builds(lambda kind, n, k, seed: b"BEOP1" + bytes([kind]) + struct.pack("<QQQ", n, k, seed),
+              st.integers(0, 255), st.one_of(st.integers(0, 16), _u64), st.one_of(st.integers(0, 16), _u64), _u64),
+)
+
+
+@given(_records)
+@example(b"BEOP1\x01" + struct.pack("<QQQ", 8, 8, 3))
+@settings(max_examples=150, deadline=None)
+def test_eval_takes_any_operator_record_to_a_documented_exit(fuzz_dir, record):
+    path = fuzz_dir / "op.beop"
+    path.write_bytes(record)
+    assert run("eval", "--pointset", fuzz_dir / "pts.pset", "--codes", fuzz_dir / "c.csv",
+               "--operator", path, "--out", fuzz_dir / "r.json") in {0, 2, 3}
+
+
+# PSET1 headers declaring any n and N, over bodies of at most 64 bytes;
+# load_pointset checks the file size before it allocates
+_pset_files = st.one_of(
+    st.binary(max_size=21),
+    st.builds(lambda n, N, body: b"PSET1" + struct.pack("<QQ", n, N) + body,
+              st.one_of(st.integers(0, 8), _u64), st.one_of(st.integers(0, 8), _u64), st.binary(max_size=64)),
+)
+
+
+@given(_pset_files)
+@example(b"PSET1" + struct.pack("<QQ", 2, 1) + struct.pack("<2d", 0.6, 0.8))
+@settings(max_examples=150, deadline=None)
+def test_eval_takes_any_pset_header_to_a_documented_exit(fuzz_dir, data):
+    path = fuzz_dir / "fuzz.pset"
+    path.write_bytes(data)
+    assert run("eval", "--pointset", path, "--kind", "gaussian", "--k", 1,
+               "--out", fuzz_dir / "r.json") in {0, 2, 3}
 
 
 # ---------------------------------------------------------------- entry point

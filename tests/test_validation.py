@@ -86,8 +86,9 @@ def test_distortion_duplicate_and_antipodal_pairs_are_exact():
         (np.stack([v, -v]), (0, 1, 1.0, 1.0, 0.0)),
     ):
         ps = PointSet(points=points)
-        pairs = evaluate_codes(ps, embed_points(op, points)).pairs
-        assert [tuple(column.tolist()) for column in pairs] == [(v,) for v in pair]
+        codes = embed_points(op, points)
+        assert [tuple(column.tolist()) for column in validation._pair_table(ps, codes)] == [(v,) for v in pair]
+        assert evaluate_codes(ps, codes).max_distortion == 0.0
         assert distortion_experiment(ps, "gaussian", 64, 1, 0).max_distortion == 0.0
 
 
@@ -120,11 +121,14 @@ def test_evaluate_codes_reports_per_pair():
     codes = Stream(0, "codes").rademacher(6 * 16).reshape(6, 16).astype(np.int8)
     rep = evaluate_codes(ps, codes)
     assert rep.trials == 1
-    assert all(len(column) == 15 for column in rep.pairs)
-    for i, j, ham, ang, diff in zip(*(column.tolist() for column in rep.pairs)):
+    table = validation._pair_table(ps, codes)
+    assert all(len(column) == 15 for column in table)
+    for i, j, ham, ang, diff in zip(*(column.tolist() for column in table)):
         assert i < j
         assert 0.0 <= ham <= 1.0 and 0.0 <= ang <= 1.0 and 0.0 <= diff <= 1.0
         assert diff == abs(ham - ang)
+    # the table's diff column holds the bits the report was scored from
+    assert (rep.max_distortion, rep.mean_distortion) == (float(table[4].max()), float(table[4].mean()))
 
 
 def _point_reference(ps, codes, delta):
@@ -161,7 +165,7 @@ def test_evaluate_codes_worst_per_point_matches_loop(case):
         # the worst pair of the set is the worst point's worst pair
         assert rep.worst_per_point.max() == rep.max_distortion
     if case == "tie":
-        i, j, diff = rep.pairs.i, rep.pairs.j, rep.pairs.diff
+        i, j, _, _, diff = validation._pair_table(ps, codes)
         assert np.count_nonzero(((i == 0) | (j == 0)) & (diff == rep.worst_per_point[0])) >= 2
 
 
@@ -171,14 +175,16 @@ def test_worst_per_point_is_the_largest_diff_of_each_point(monkeypatch, entries,
     if entries:
         monkeypatch.setattr(embedders, "_BLOCK_ENTRIES", entries)
     ps = generate_pointset("uniform_sphere", 8, N, N)
-    rep = evaluate_codes(ps, embed_points(sample_operator("circulant", 8, 4, 2), ps.points))
+    codes = embed_points(sample_operator("circulant", 8, 4, 2), ps.points)
+    rep = evaluate_codes(ps, codes)
+    i, j, _, _, diff = validation._pair_table(ps, codes)
     # the scatter-max over both points of every pair
     iu = np.triu_indices(N, 1)
     want = np.zeros(N)
-    np.maximum.at(want, iu[0], rep.pairs.diff)
-    np.maximum.at(want, iu[1], rep.pairs.diff)
+    np.maximum.at(want, iu[0], diff)
+    np.maximum.at(want, iu[1], diff)
     assert rep.worst_per_point.tobytes() == want.tobytes()
-    assert all(np.array_equal(a, b) for a, b in zip((rep.pairs.i, rep.pairs.j), iu))
+    assert all(np.array_equal(a, b) for a, b in zip((i, j), iu))
 
 
 def _traced_peak(fn):
@@ -192,14 +198,15 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_evaluate_codes_peaks_at_the_pair_columns_it_returns():
-    N = 300
+def test_evaluate_codes_peaks_at_the_gram_of_its_angles():
+    # large enough that the Gram outweighs the row-blocked Hamming products
+    N = 600
     ps = generate_pointset("uniform_sphere", 64, N, 6)
     codes = embed_points(sample_operator("circulant", 64, 64, 1), ps.points)
     peak = _traced_peak(lambda: evaluate_codes(ps, codes))
-    # five float64 or int64 columns of N(N-1)/2 pairs and an N x N bool mask;
-    # the N x N float64 Gram is gone before they are all built
-    assert peak <= 5 * 8 * (N * (N - 1) // 2) + N * N + 65536
+    # the N x N float64 Gram, the cosines gathered from it and the N x N bool
+    # mask; no pair column outlives the call
+    assert peak <= 8 * N * N + 8 * (N * (N - 1) // 2) + N * N + 65536
 
 
 def test_a_distortion_trial_allocates_no_n_by_n_float64():
@@ -213,7 +220,7 @@ def test_a_distortion_trial_allocates_no_n_by_n_float64():
 def test_distortion_experiment_reports_no_pointwise_fields():
     ps = generate_pointset("uniform_sphere", 16, 4, 0)
     rep = distortion_experiment(ps, "gaussian", 8, 2, 0)
-    assert rep.pairs is None and rep.worst_per_point is None and rep.point_success_fraction is None
+    assert rep.worst_per_point is None and rep.point_success_fraction is None
     assert "point_success_fraction" not in rep.to_stats()
 
 
