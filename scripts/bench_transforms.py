@@ -282,11 +282,11 @@ def build_memory_cases(seed: int, tmp: str):
     path = os.path.join(tmp, "pts.pset")
     save_pointset(ps, path)
     codes = embed_points(sample_operator("randomized", 1000, 256, seed), ps.points)
-    pairs = _angular_pairs(ps.points)
+    ang = _angular_pairs(ps.points)
 
     def sweep_trial():
         with _blas.one_thread():
-            _distortion(ps, pairs, "circulant", 256, 1, seed, "gaussian", 1)
+            _distortion(ps, ang, "circulant", 256, 1, seed, "gaussian", 1)
 
     return [
         ("load_pointset", lambda: load_pointset(path)),

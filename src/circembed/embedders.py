@@ -62,8 +62,9 @@ KINDS = ("gaussian", "circulant", "randomized")
 R_DISTS = ("gaussian", "rademacher")
 
 # The most float64 entries (512 MiB) one operator may hold: k * n for a
-# gaussian matrix, n for circulant vectors and the padded n for randomized
-# ones. A 30-byte record or a few flags must not ask for unbounded memory.
+# gaussian matrix; n for circulant vectors and the padded n for randomized
+# ones, plus 16 per picked row (index_subset holds about 100 B per pick). A
+# 30-byte record or a few flags must not ask for unbounded memory.
 _MAX_ENTRIES = 1 << 26
 
 
@@ -176,7 +177,7 @@ def _check_params(kind: str, n: int, k: int, r_dist: str = "gaussian") -> None:
     r_dist is one of ``R_DISTS``."""
     if r_dist not in R_DISTS:
         raise ValueError(f"unknown r_dist {r_dist!r}; expected one of {', '.join(R_DISTS)}")
-    entries = {"gaussian": k * n, "circulant": n, "randomized": _next_pow2(n)}[kind]
+    entries = {"gaussian": k * n, "circulant": n + 16 * k, "randomized": _next_pow2(n) + 16 * k}[kind]
     if entries > _MAX_ENTRIES:
         raise ValueError(f"a {kind} operator with n={n}, k={k} has {entries} entries, over the cap of {_MAX_ENTRIES}")
     if kind == "gaussian" and (n < 1 or k < 1):

@@ -23,7 +23,7 @@ _UNIT_ATOL = 1e-9  # PointSet row invariant
 _PRE_ATOL = 1e-6  # precondition slack for single-vector arguments
 _DUP_TOL = 1e-12  # pairs closer than this count as duplicates
 _EPS = 2.0**-53  # unit roundoff of float64
-_GRAM_ENTRIES = 1 << 15  # entries of one block of cosines in _coherence
+_PAIR_ENTRIES = 1 << 15  # entries of one block of _pair_blocks
 # the widest float32 product of sign codes that is exact: its partial sums are
 # integers of magnitude at most 2^24, which float32 holds exactly
 _F32_COLUMNS = 1 << 24
@@ -141,41 +141,43 @@ def _angles(cos, out=None):
     return np.divide(np.arccos(np.clip(cos, -1.0, 1.0, out=out), out=out), math.pi, out=out)
 
 
-def _angular_pairs(points: np.ndarray):
-    """The pairs of the rows and the angle of each pair.
-
-    The pairs are a mask of the strict upper triangle of an N x N matrix:
-    indexing a matrix with it gives the entries (i, j), i < j, in
-    ``np.triu_indices(N, 1)`` order, the order of the angles. An N x N Gram
-    matrix over ``embedders._MAX_ENTRIES`` entries is refused before
-    anything is allocated.
+def _angular_pairs(points: np.ndarray) -> np.ndarray:
+    """The angle of each pair of rows (i, j), i < j, in ``np.triu_indices``
+    order. An N x N Gram matrix over ``embedders._MAX_ENTRIES`` entries is
+    refused before anything is allocated.
     """
     N = points.shape[0]
     if N * N > embedders._MAX_ENTRIES:
         raise ValueError(f"all pairs of N={N} points need {N * N} Gram entries, over the cap of {embedders._MAX_ENTRIES}")
-    upper = np.tri(N, dtype=bool)
-    np.logical_not(upper, out=upper)
     # one product of all rows: a product over blocks of rows rounds some
     # cosines differently
-    cos = (points @ points.T)[upper]
-    return upper, _angles(cos, out=cos)
-
-
-def _pair_blocks(upper: np.ndarray):
-    """(a, b, mask, run) for each block of rows a..b-1 of about
-    ``embedders._BLOCK_ENTRIES`` entries: their pairs are the entries ``mask``
-    of upper[a:b, a:], and the slice ``run`` of the pairs in upper's order."""
-    N = upper.shape[0]
+    G = points @ points.T
+    cos = np.empty(N * (N - 1) // 2)
     start = 0
-    for rows in _row_blocks(N, N):
-        a, b = rows.start, min(rows.stop, N)
+    for i in range(N - 1):
+        cos[start : start + N - 1 - i] = G[i, i + 1 :]
+        start += N - 1 - i
+    return _angles(cos, out=cos)
+
+
+def _pair_blocks(N: int):
+    """(a, b, mask, run) for each block of rows a..b-1 of the strict upper
+    triangle of an N x N matrix, of about ``_PAIR_ENTRIES`` entries: the
+    block's pairs are the entries ``mask`` of its columns a.., and ``run`` is
+    their slice of the pairs in ``np.triu_indices(N, 1)`` order. The last
+    row, which has no pairs, is in no block."""
+    step = max(1, min(_PAIR_ENTRIES // N, N - 1))
+    upper = ~np.tri(step, N, dtype=bool)
+    start = 0
+    for a in range(0, N - 1, step):
+        b = min(a + step, N - 1)
         stop = start + (b - a) * (N - 1) - (a + b - 1) * (b - a) // 2
-        yield a, b, upper[a:b, a:], slice(start, stop)
+        yield a, b, upper[: b - a, : N - a], slice(start, stop)
         start = stop
 
 
-def _hamming_pairs(codes: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Normalized Hamming distance of the code rows at the pairs ``upper``, in its order."""
+def _hamming_pairs(codes: np.ndarray) -> np.ndarray:
+    """Normalized Hamming distance of each pair of code rows, in ``np.triu_indices`` order."""
     # (k - <a, b>) / 2k equals the disagreement fraction for sign codes. The
     # dot products are integers, exact in float32 products of at most
     # _F32_COLUMNS columns in any order or blocking, and exact in float64
@@ -184,10 +186,29 @@ def _hamming_pairs(codes: np.ndarray, upper: np.ndarray) -> np.ndarray:
     ham = np.full(N * (N - 1) // 2, float(k))
     for c in range(0, k, _F32_COLUMNS):
         C = codes[:, c : c + _F32_COLUMNS].astype(np.float32)
-        for a, b, mask, run in _pair_blocks(upper):
+        for a, b, mask, run in _pair_blocks(N):
             ham[run] -= (C[a:b] @ C[a:].T)[mask]
     ham /= 2.0 * k
     return ham
+
+
+def _worst_per_point(diff: np.ndarray, N: int) -> np.ndarray:
+    """Each of N points' largest diff over its pairs (0.0 for a point with none).
+
+    ``diff`` holds one value per pair, in ``np.triu_indices(N, 1)`` order,
+    and no value below 0. The pairs of each block of rows are laid out in a
+    reused buffer, zero elsewhere: its row maxima are their worst for the
+    first point, its column maxima their worst for the second.
+    """
+    worst = np.zeros(N)
+    buf = np.empty(min(max(_PAIR_ENTRIES, N), N * N))
+    for a, b, mask, run in _pair_blocks(N):
+        block = buf[: mask.size].reshape(mask.shape)
+        block.fill(0.0)
+        block[mask] = diff[run]
+        np.maximum(worst[a:b], block.max(axis=1), out=worst[a:b])
+        np.maximum(worst[a:], block.max(axis=0), out=worst[a:])
+    return worst
 
 
 def _max_ratio(D: np.ndarray) -> float:
@@ -240,27 +261,24 @@ def _coherence(P: np.ndarray) -> CoherenceStats:
     # high (a difference and its negation round to the same magnitudes, so
     # these ratios are the ones the scan computes)
     rho_cross = max(rho_direct, _max_ratio_from(P, P[np.argmax(top)], 0, buf[0]))
-    # The cosines come in row blocks C = P[a:b] @ P[a:].T of at most about
-    # _GRAM_ENTRIES entries, one matrix product each; the entries j <= i are
-    # set to -inf, which the bound then never keeps.
-    R = max(1, min(_GRAM_ENTRIES // N, N - 1))
-    lower = np.tri(R, dtype=bool)
-    gram, bound = np.empty((2, R * N))
-    keep = np.empty(R * N, dtype=bool)
+    # The cosines come in the blocks of _pair_blocks, C = P[a:b] @ P[a:].T,
+    # one matrix product each; the entries j <= i are set to -inf, which the
+    # bound then never keeps.
+    gram, bound = np.empty((2, min(max(_PAIR_ENTRIES, N), N * N)))
+    keep = np.empty(gram.size, dtype=bool)
     top_cos = np.empty(max(N - 1, 0))  # each row's largest cosine in C
-    for a in range(0, N - 1, R):
-        b = min(a + R, N - 1)
-        m, width = b - a, N - a
-        C = np.matmul(P[a:b], P[a:].T, out=gram[: m * width].reshape(m, width))
-        C[:, :m][lower[:m, :m]] = -np.inf
+    for a, b, mask, _ in _pair_blocks(N):
+        m, width = mask.shape
+        C = np.matmul(P[a:b], P[a:].T, out=gram[: mask.size].reshape(mask.shape))
+        C[:, :m][~mask[:, :m]] = -np.inf
         top_cos[a:b] = C.max(axis=1)
         L = np.multiply(C, -2.0, out=C)
         L += s[a:]
         L += s[a:b, None]
         L *= rho_cross * rho_cross
-        w = np.add(topf[a:], topf[a:b, None], out=bound[: m * width].reshape(m, width))
+        w = np.add(topf[a:], topf[a:b, None], out=bound[: mask.size].reshape(mask.shape))
         w *= w
-        K = np.greater_equal(w, L, out=keep[: m * width].reshape(m, width))
+        K = np.greater_equal(w, L, out=keep[: mask.size].reshape(mask.shape))
         # contiguous slices beat a gather for a row whose bound keeps most pairs
         dense = 2 * np.count_nonzero(K, axis=1) > np.arange(N - 1 - a, N - 1 - b, -1)
         for i in (np.flatnonzero(dense) + a).tolist():

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _blas, embedders
 from ._pool import fan_out
-from .geometry import _PRE_ATOL, PointSet, _angular_pairs, _coherence, _hamming_pairs, _pair_blocks, angular_distance
+from .geometry import _PRE_ATOL, PointSet, _angular_pairs, _coherence, _hamming_pairs, _worst_per_point, angular_distance
 from .rng import Rng, derive_seed
 from .transforms import _shift_rows
 
@@ -221,14 +221,12 @@ def distortion_experiment(
     return _distortion_report(ps, kind, k, seed, delta_target, rows)
 
 
-def _distortion(ps: PointSet, pairs, kind: str, k: int, trials: int, seed: int, r_dist: str, threads: int) -> list:
-    # the per-trial (max, mean) rows of distortion_experiment, given
-    # _angular_pairs(ps.points); the caller pins BLAS to one thread
-    upper, ang = pairs
-
+def _distortion(ps: PointSet, ang: np.ndarray, kind: str, k: int, trials: int, seed: int, r_dist: str, threads: int) -> list:
+    # the per-trial (max, mean) rows of distortion_experiment, given the
+    # angles _angular_pairs(ps.points); the caller pins BLAS to one thread
     def run_trial(trial_seed: int):
         codes = embedders.embed_points(embedders.sample_operator(kind, ps.n, k, trial_seed, r_dist), ps.points)
-        return _max_mean(_score(_hamming_pairs(codes, upper), ang))
+        return _max_mean(_score(_hamming_pairs(codes), ang))
 
     return _run_trials(run_trial, trials, seed, threads)
 
@@ -244,9 +242,9 @@ def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, 
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[0] != ps.N:
         raise ValueError(f"codes must be an N x k matrix with N={ps.N}, got shape {codes.shape}")
-    upper, ang = _angular_pairs(ps.points)
-    diff = _score(_hamming_pairs(codes, upper), ang)
-    worst = _worst_per_point(upper, diff)
+    ang = _angular_pairs(ps.points)  # first, so its Gram is freed before the Hamming column exists
+    diff = _score(_hamming_pairs(codes), ang)
+    worst = _worst_per_point(diff, ps.N)
     return _distortion_report(
         ps, kind, codes.shape[1], seed, delta_target, [_max_mean(diff)],
         worst_per_point=worst,
@@ -258,29 +256,9 @@ def evaluate_codes(ps: PointSet, codes: np.ndarray, delta_target: float = 0.15, 
 def _pair_table(ps: PointSet, codes: np.ndarray) -> tuple:
     """The columns (i, j, hamming, angular, diff) of every pair, in ``np.triu_indices``
     order, of codes that ``evaluate_codes`` accepts; diff holds the bits it scores."""
-    upper, ang = _angular_pairs(ps.points)
-    ham = _hamming_pairs(codes, upper)
-    return (*np.nonzero(upper), ham, ang, _score(ham.copy(), ang))
-
-
-def _worst_per_point(upper: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Each point's largest diff over its pairs (0.0 for a point with none).
-
-    ``diff`` holds one value per pair of ``upper``, in its order, and no
-    value below 0. The pairs of each block of rows are laid out in a reused
-    buffer, zero elsewhere: its row maxima are their worst for the first
-    point, its column maxima their worst for the second.
-    """
-    N = upper.shape[0]
-    worst = np.zeros(N)
-    buf = np.empty(max(embedders._BLOCK_ENTRIES, N))
-    for a, b, mask, run in _pair_blocks(upper):
-        block = buf[: mask.size].reshape(mask.shape)
-        block.fill(0.0)
-        block[mask] = diff[run]
-        np.maximum(worst[a:b], block.max(axis=1), out=worst[a:b])
-        np.maximum(worst[a:], block.max(axis=0), out=worst[a:])
-    return worst
+    ang = _angular_pairs(ps.points)
+    ham = _hamming_pairs(codes)
+    return (*np.triu_indices(ps.N, 1), ham, ang, _score(ham.copy(), ang))
 
 
 @_blas.one_thread()
@@ -308,11 +286,11 @@ def sweep(
     deltas = [float(d) for d in delta_values]
     if not k_values or not deltas:
         return []
-    pairs = _angular_pairs(ps.points)
+    ang = _angular_pairs(ps.points)
     reports = []
     for k in k_values:
         k_seed = derive_seed(seed, f"cell:k={k}")
-        rows = _distortion(ps, pairs, kind, k, trials, k_seed, r_dist, threads)
+        rows = _distortion(ps, ang, kind, k, trials, k_seed, r_dist, threads)
         reports += [_distortion_report(ps, kind, k, k_seed, d, rows) for d in deltas]
     return reports
 

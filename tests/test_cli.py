@@ -197,7 +197,7 @@ def test_eval_operator_record_for_other_inputs_is_usage_error_and_writes_nothing
     codes = tmp_path / "c.csv"
     assert run("embed", "--pointset", pts, "--kind", "circulant", "--k", 16, "--out", codes) == 0
     sidecar = (tmp_path / "c.csv.beop").read_bytes()
-    fields = {"n=k=2^22": (1 << 22, 1 << 22), "k=3": (64, 3), "n=32": (32, 16)}
+    fields = {"n=2^22,k=2^21": (1 << 22, 1 << 21), "k=3": (64, 3), "n=32": (32, 16)}
     for name, (n, k) in fields.items():
         record = tmp_path / f"{name}.beop"
         record.write_bytes(sidecar[:6] + struct.pack("<QQ", n, k) + sidecar[22:])

@@ -272,11 +272,14 @@ def test_sample_operator_checks_r_dist():
 
 def test_sample_operator_caps_entries(monkeypatch):
     monkeypatch.setattr(embedders, "_MAX_ENTRIES", 64)
-    # k * n for gaussian, n for circulant, the padded n for randomized
+    # k * n for gaussian; n + 16 k for circulant and the padded n + 16 k for
+    # randomized, over n and over k
     for kind, legal, over in (
         ("gaussian", (16, 4), (16, 5)),
-        ("circulant", (64, 4), (65, 4)),
-        ("randomized", (33, 4), (65, 4)),
+        ("circulant", (32, 2), (33, 2)),
+        ("circulant", (32, 2), (32, 3)),
+        ("randomized", (17, 2), (33, 1)),
+        ("randomized", (17, 2), (17, 3)),
     ):
         sample_operator(kind, *legal, 0)
         with pytest.raises(ValueError, match="over the cap of 64"):
@@ -318,9 +321,26 @@ def test_read_operator_record_returns_the_fields_and_draws_nothing(monkeypatch):
     blob = serialize_operator(sample_operator("randomized", 48, 12, 909))
     monkeypatch.setattr(embedders, "Rng", None)  # any draw would raise
     assert read_operator_record(blob) == ("randomized", 48, 12, 909)
-    # the largest circulant record under the cap is read at once
-    big = blob[:5] + bytes([1]) + (1 << 26).to_bytes(8, "little") * 2 + blob[22:]
-    assert read_operator_record(big) == ("circulant", 1 << 26, 1 << 26, 909)
+    # the largest circulant record under the cap at n=2^22 is read at once
+    n, k = 1 << 22, ((1 << 26) - (1 << 22)) // 16
+    big = blob[:5] + bytes([1]) + n.to_bytes(8, "little") + k.to_bytes(8, "little") + blob[22:]
+    assert read_operator_record(big) == ("circulant", n, k, 909)
+    with pytest.raises(ParseError, match="over the cap"):
+        read_operator_record(big[:14] + (k + 1).to_bytes(8, "little") + big[22:])
+
+
+def test_the_row_picks_count_against_the_cap_before_any_draw(monkeypatch):
+    # index_subset holds about 100 bytes per pick, so each of the k rows
+    # counts 16 entries: at n=2^25, k=2^21 makes n + 16 k = 2^26, the cap
+    monkeypatch.setattr(embedders, "Rng", None)  # any draw would raise TypeError
+    n, k = 1 << 25, 1 << 21
+    for kind, sampler in (("circulant", sample_circulant_operator), ("randomized", sample_randomized_operator)):
+        fields = embedders._MAGIC + bytes([KINDS.index(kind)]) + n.to_bytes(8, "little")
+        assert read_operator_record(fields + k.to_bytes(8, "little") + bytes(8)) == (kind, n, k, 0)
+        with pytest.raises(ParseError, match="over the cap"):
+            deserialize_operator(fields + (k + 1).to_bytes(8, "little") + bytes(8))
+        with pytest.raises(ValueError, match="over the cap"):
+            sampler(n, k + 1, 0)
 
 
 def test_deserialize_error_offsets():

@@ -178,24 +178,36 @@ def _codes(N, k, seed):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 64])
-def test_pair_mask_selects_the_pairs_in_triu_indices_order(N):
+def test_angular_pairs_are_the_angles_in_triu_indices_order(N):
     P = generate_pointset("uniform_sphere", 12, N, N).points
-    upper, ang = geometry._angular_pairs(P)
-    iu = np.triu_indices(N, 1)
-    assert upper.shape == (N, N) and upper.dtype == bool
-    assert all(np.array_equal(a, b) for a, b in zip(np.nonzero(upper), iu))
-    assert ang.tobytes() == _float64_angles(P).tobytes()
+    assert geometry._angular_pairs(P).tobytes() == _float64_angles(P).tobytes()
+
+
+@pytest.mark.parametrize("entries", [None, 1, 7, 50, 600])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 64])
+def test_pair_blocks_tile_the_pairs_in_triu_indices_order(monkeypatch, entries, N):
+    if entries:
+        monkeypatch.setattr(geometry, "_PAIR_ENTRIES", entries)
+    # each block writes the number of each of its pairs in np.triu_indices order
+    got, want = np.full((2, N, N), -1)
+    want[np.triu_indices(N, 1)] = np.arange(N * (N - 1) // 2)
+    end = 0
+    for a, b, mask, run in geometry._pair_blocks(N):
+        assert mask.shape == (b - a, N - a) and run.start == end
+        got[a:b, a:][mask] = np.arange(run.start, run.stop)
+        end = run.stop
+    assert end == N * (N - 1) // 2
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("entries", [None, 50, 600])
 @pytest.mark.parametrize("N, k", [(2, 1), (9, 5), (40, 64), (33, 257), (130, 1000)])
 def test_hamming_pairs_have_the_bits_of_the_float64_formula(monkeypatch, entries, N, k):
     if entries:
-        monkeypatch.setattr(embedders, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(geometry, "_PAIR_ENTRIES", entries)
     codes = _codes(N, k, k)
-    upper = ~np.tri(N, dtype=bool)
     want = _float64_hamming(codes)
-    assert geometry._hamming_pairs(codes, upper).tobytes() == want.tobytes()
+    assert geometry._hamming_pairs(codes).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("width", [1, 3, 4])
@@ -205,7 +217,7 @@ def test_hamming_pairs_are_exact_across_float32_chunks(monkeypatch, width, k):
     monkeypatch.setattr(geometry, "_F32_COLUMNS", width)
     codes = _codes(20, k, 3 * k + width)
     want = _float64_hamming(codes)
-    assert geometry._hamming_pairs(codes, ~np.tri(20, dtype=bool)).tobytes() == want.tobytes()
+    assert geometry._hamming_pairs(codes).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------- coherence
@@ -484,7 +496,7 @@ def test_coherence_has_the_bits_of_the_per_row_scan(kind, n, N):
 @pytest.mark.parametrize("entries", [1, 8, 15])
 def test_coherence_has_the_bits_of_the_per_row_scan_on_small_blocks(kind, entries, monkeypatch):
     # blocks of one row, of a few rows, and of rows that do not divide N
-    monkeypatch.setattr(geometry, "_GRAM_ENTRIES", entries * 38)
+    monkeypatch.setattr(geometry, "_PAIR_ENTRIES", entries * 38)
     for n in (2, 9, 64):
         _assert_matches_per_row(generate_pointset(kind, n, 38, n).points)
 

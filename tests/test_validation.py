@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circembed import embedders, validation
+from circembed import geometry, validation
 from circembed.embedders import embed_points, sample_operator
 from circembed.geometry import PointSet, angular_distance, coherence, hamming_normalized
 from circembed.io import generate_pointset
@@ -173,7 +173,7 @@ def test_evaluate_codes_worst_per_point_matches_loop(case):
 @pytest.mark.parametrize("N", [1, 2, 5, 41])
 def test_worst_per_point_is_the_largest_diff_of_each_point(monkeypatch, entries, N):
     if entries:
-        monkeypatch.setattr(embedders, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(geometry, "_PAIR_ENTRIES", entries)
     ps = generate_pointset("uniform_sphere", 8, N, N)
     codes = embed_points(sample_operator("circulant", 8, 4, 2), ps.points)
     rep = evaluate_codes(ps, codes)
@@ -204,16 +204,16 @@ def test_evaluate_codes_peaks_at_the_gram_of_its_angles():
     ps = generate_pointset("uniform_sphere", 64, N, 6)
     codes = embed_points(sample_operator("circulant", 64, 64, 1), ps.points)
     peak = _traced_peak(lambda: evaluate_codes(ps, codes))
-    # the N x N float64 Gram, the cosines gathered from it and the N x N bool
-    # mask; no pair column outlives the call
-    assert peak <= 8 * N * N + 8 * (N * (N - 1) // 2) + N * N + 65536
+    # the N x N float64 Gram and the cosines packed from it; no pair column
+    # outlives the call
+    assert peak <= 8 * N * N + 8 * (N * (N - 1) // 2) + 65536
 
 
 def test_a_distortion_trial_allocates_no_n_by_n_float64():
     N = 600
     ps = generate_pointset("uniform_sphere", 64, N, 6)
-    pairs = validation._angular_pairs(ps.points)
-    peak = _traced_peak(lambda: validation._distortion(ps, pairs, "circulant", 64, 1, 4, "gaussian", 1))
+    ang = validation._angular_pairs(ps.points)
+    peak = _traced_peak(lambda: validation._distortion(ps, ang, "circulant", 64, 1, 4, "gaussian", 1))
     assert peak < 8 * N * N
 
 
@@ -280,6 +280,25 @@ def test_sweep_gaussian_distortion_shrinks_with_k():
     cells = sweep(ps, "gaussian", [64, 256, 1024], [0.2], 20, 0)
     means = [float(np.mean(c.per_trial_max)) for c in cells]
     assert means[1] <= means[0] and means[2] <= means[1]
+
+
+def test_sweep_worst_pair_follows_the_rate_and_structured_kinds_track_gaussian():
+    # The median per-trial worst pair at n=1024 and k <= n/4. Measured on
+    # this seed: gaussian 0.81-0.93 x sqrt(ln N / k), circulant and
+    # randomized 0.88-1.19 x gaussian (four seeds: 0.79-0.93 and 0.88-1.19).
+    # The bands are those readings with slack, frozen.
+    for N in (16, 1024):
+        ps = generate_pointset("uniform_sphere", 1024, N, 0)
+        median = {
+            (kind, cell.k): float(np.median(cell.per_trial_max))
+            for kind in ("gaussian", "circulant", "randomized")
+            for cell in sweep(ps, kind, [64, 256], [0.15], 10, 0)
+        }
+        for k in (64, 256):
+            gaussian = median["gaussian", k]
+            assert 0.6 <= gaussian / math.sqrt(math.log(N) / k) <= 1.2, (N, k)
+            for kind in ("circulant", "randomized"):
+                assert 1 / 1.5 <= median[kind, k] / gaussian <= 1.5, (kind, N, k)
 
 
 # ---------------------------------------------------------- conditioning
