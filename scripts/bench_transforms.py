@@ -20,10 +20,11 @@ pairs (what eval --pairs writes). A fifth times the text readers
 at N=1000: load_codes of a CRLF codes file with k=256, which takes the line
 parser, and load_pointset_csv at n=1000. A sixth times one whole quick gate
 suite with as many trial threads as cores, the default of validate. A
-seventh times the gates' conditioning trials at k=128 (50 trials) and
-decomposition trials at k=128 (30 trials), on one thread and on as many as
-the worker pool has: their LAPACK calls overlap only if they release the
-GIL. An eighth times the samplers: normals and rademacher from a fresh
+seventh times the gates' conditioning trials at k=128 (50 trials),
+decomposition trials at k=128 (30 trials) and the column-growth gate's 30
+trials at k=128, which compute column norms only, on one thread and on as
+many as the worker pool has: their LAPACK calls overlap only if they
+release the GIL. An eighth times the samplers: normals and rademacher from a fresh
 stream at 2^10, 2^16 and 2^20 draws (above 2^16 they fan out in chunks), two threads
 each drawing normals 2^20 at the same time (both fan out over the one
 worker pool), index_subset at (n, k) = (256, 128) and (2^20, 256), and
@@ -32,7 +33,10 @@ replays all three. A ninth times np.dot of two 2^20 vectors followed at
 once by a randomized embed at 2^20: the dot runs on every BLAS thread, whose
 OpenBLAS workers then spin for a while, and the embed runs in that window.
 A tenth times sweep of randomized operators over N=1000 points at n=1000,
-k 64 and 256, 3 trials, on one thread, at one delta and at four.
+k 64 and 256, 3 trials, on one thread, at one delta and at four. An
+eleventh times _shift_rows, the gather of the modulated shift rows each
+conditioning and decomposition trial makes twice, at (n, k) = (256, 128)
+and (1000, 256).
 A memory table, which runs first and in a process of its own, measures at
 n=N=1000 the stages the CLI runs:
 load_pointset, generate_pointset of uniform_sphere, save_pointset,
@@ -75,7 +79,7 @@ import tracemalloc
 import numpy as np
 
 import circembed
-from circembed import _blas
+from circembed import _blas, validation
 from circembed._pool import WORKERS
 from circembed.cli import main as cli_main
 from circembed.embedders import (
@@ -102,7 +106,7 @@ from circembed.io import (
     save_result,
 )
 from circembed.rng import Rng, Stream
-from circembed.transforms import circulant_apply, fwht
+from circembed.transforms import _shift_rows, circulant_apply, fwht
 from circembed.validation import (
     _distortion,
     _pair_table,
@@ -263,6 +267,16 @@ def build_suite_cases(seed: int):
     return [(f"gate suite threads={threads}", lambda: run_gate_suite(seed, quick=True, threads=threads))]
 
 
+@_blas.one_thread()
+def col_growth_trials(x, y, k: int, trials: int, seed: int, threads: int) -> tuple:
+    """The per-trial max column norms the column-growth gate reads, computed as
+    the timed source's gate computes them: a source with no ``_max_col_trials``
+    reads them off ``decomposition_experiment``."""
+    if hasattr(validation, "_max_col_trials"):
+        return validation._max_col_trials(x, y, k, trials, seed, threads)
+    return decomposition_experiment(x, y, k, 0.15, trials, seed, threads=threads).per_trial_max_col
+
+
 def build_lapack_cases(seed: int):
     # the conditioning and decomposition gates at their largest k
     x = np.ones(256) / 16.0
@@ -273,7 +287,17 @@ def build_lapack_cases(seed: int):
             (f"conditioning x50 threads={t}", lambda t=t: conditioning_experiment(x, y, 128, 50, seed, threads=t)),
             (f"decomposition x30 threads={t}",
              lambda t=t: decomposition_experiment(x, y, 128, 0.15, 30, seed, threads=t)),
+            (f"col growth gate x30 threads={t}", lambda t=t: col_growth_trials(x, y, 128, 30, seed, t)),
         ]
+    return cases
+
+
+def build_shift_cases(seed: int):
+    cases = []
+    for n, k in ((256, 128), (1000, 256)):
+        v = Stream(seed, f"shift:{n}").normals(n)
+        S = Stream(seed, f"shift:S:{n}").index_subset(n, k)
+        cases.append((f"_shift_rows n={n} k={k}", lambda v=v, S=S: _shift_rows(v, S)))
     return cases
 
 
@@ -415,6 +439,7 @@ def main() -> int:
             ("embed right after an unpinned BLAS call:", build_window_cases(args.seed), args.calls),
             ("sweep randomized, N=n=1000, k 64 and 256, 3 trials (one call per repeat):",
              build_sweep_cases(args.seed), 1),
+            ("shift rows gather:", build_shift_cases(args.seed), args.calls),
         ):
             print()
             print(title)

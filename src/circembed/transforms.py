@@ -174,10 +174,13 @@ def _fwht_inplace(a: np.ndarray, width: int = 1) -> None:
 
 
 def _shift_rows(v: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Row t is shift(v, S[t]), gathered with no FFT: entry j is v[(S[t] + j) mod n]."""
+    """Row t is shift(v, S[t]), gathered with no FFT: entry j is v[(S[t] + j) mod n].
+
+    Window s of [v, v[:-1]] is shift(v, s), so the rows are one gather of
+    windows, with no (k, n) index array.
+    """
     n = v.size
-    idx = (S[:, None] + np.arange(n)[None, :]) % n
-    return v[idx]
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((v, v[:-1])), n)[S]
 
 
 def fwht(x) -> np.ndarray:

@@ -470,20 +470,37 @@ def decomposition_sample(x, y, r, S):
     Columns arrive in interleaved pair order C = (X_0, Y_0, X_1, Y_1, ...).
     For pair i, both X_i and Y_i are projected onto the span of the strictly
     previous pairs {X_j, Y_j : j < i}; those projections are the columns of
-    P. With C^T = QR (one Householder QR, Golub & Van Loan, Matrix
+    P. ``_projections`` computes them; this reduces them to two norms.
+
+    Returns (max column norm of P, spectral norm of P, degenerate flag).
+    """
+    M, axis, degenerate = _projections(x, y, r, S)
+    return _max_col(M, axis), _blas.norm2(M), degenerate
+
+
+def _max_col(M: np.ndarray, axis: int) -> float:
+    """The largest column norm of P, from ``_projections``' matrix M and axis."""
+    return float(np.linalg.norm(M, axis=axis).max())
+
+
+def _projections(x, y, r, S) -> tuple:
+    """(M, axis, degenerate): P of one draw, as a matrix M with P's spectral norm
+    whose norms along ``axis`` are P's column norms.
+
+    With C^T = QR (one Householder QR, Golub & Van Loan, Matrix
     Computations, 5.2), X_i's projection is Q[:, :2i] R[:2i, 2i] and Y_i's
     is Q[:, :2i] R[:2i, 2i+1]. Q has orthonormal columns, so P's column
     norms and spectral norm are those of U, R's strict upper triangle with
-    each entry (2i, 2i+1) zeroed: a 2k x 2k matrix in place of the n-row P.
+    each entry (2i, 2i+1) zeroed: a 2k x 2k matrix in place of the n-row P,
+    with axis 0.
 
     A draw is degenerate when a column lies in the span of the columns
     before it, |R_jj| < 1e-12 * max(1, |c_j|). Householder's Q_j is then a
     rounding direction that later columns' new content gets split across,
     so such draws, and draws with 2k > n, take ``_decomposition_loop``,
-    which skips those columns as basis vectors. On other draws the two
-    agree to about 1e-15 relative.
-
-    Returns (max column norm of P, spectral norm of P, degenerate flag).
+    which skips those columns as basis vectors and returns P's columns as
+    rows, with axis 1. On other draws the two agree to about 1e-15
+    relative.
     """
     X, Y = _shift_pair(x, y, r, S)
     k, n = X.shape
@@ -491,14 +508,16 @@ def decomposition_sample(x, y, r, S):
     R = _blas.qr_r(C.T)
     spans = np.abs(np.diagonal(R))
     if spans.size < 2 * k or (spans < _SPAN_TOL * np.maximum(1.0, np.linalg.norm(C, axis=1))).any():
-        return _decomposition_loop(X, Y)
+        P_cols, degenerate = _decomposition_loop(X, Y)
+        return P_cols, 1, degenerate
     U = np.triu(R, 1)
     U[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 0.0
-    return float(np.linalg.norm(U, axis=0).max()), _blas.norm2(U), False
+    return U, 0, False
 
 
 def _decomposition_loop(X: np.ndarray, Y: np.ndarray):
-    """``decomposition_sample`` by modified Gram-Schmidt over the shift rows X and Y.
+    """P's columns as rows, and the degenerate flag, by modified Gram-Schmidt over
+    the shift rows X and Y.
 
     The basis grows by X_i and then Y_i after pair i is projected, with one
     re-orthogonalization pass; a column whose residual falls below the span
@@ -527,8 +546,15 @@ def _decomposition_loop(X: np.ndarray, Y: np.ndarray):
                 continue
             Q[q_count] = res / nr
             q_count += 1
-    col_norms = np.linalg.norm(P_cols, axis=1)
-    return float(col_norms.max()), _blas.norm2(P_cols), degenerate
+    return P_cols, degenerate
+
+
+def _max_col_trials(x: np.ndarray, y: np.ndarray, k: int, trials: int, seed: int, threads: int) -> tuple:
+    """``decomposition_experiment(x, y, k, ...).per_trial_max_col`` of a float64 unit
+    pair, with no spectral norm computed; the caller pins BLAS to one thread."""
+    return tuple(
+        _pair_trials(lambda r, S: _max_col(*_projections(x, y, r, S)[:2]), x.size, k, trials, seed, threads)
+    )
 
 
 @_blas.one_thread()
@@ -664,12 +690,11 @@ def run_gate_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> list
     record(
         _gate("decomposition_P_within_7", frac_p, ">=", 0.99, detail=f"trials={dec_trials}")
     )
-    med_cols = []
-    for k in (8, 32, 128):
-        repk = decomposition_experiment(
-            x, y, k, 0.15, dec_trials, derive_seed(seed, f"gate:decomposition:k={k}"), threads=threads
-        )
-        med_cols.append(float(np.median(repk.per_trial_max_col)))
+    # the growth gate reads column norms only, so its trials compute no spectral norm
+    med_cols = [
+        float(np.median(_max_col_trials(x, y, k, dec_trials, derive_seed(seed, f"gate:decomposition:k={k}"), threads)))
+        for k in (8, 32, 128)
+    ]
     col_ratios = [med_cols[i + 1] / med_cols[i] for i in range(len(med_cols) - 1)]
     record(
         _gate(

@@ -28,6 +28,11 @@ elementwise maxima and one dot product per pair, so their exact ``repr``
 is pinned. ``coherence`` of a point set is rounded to 12 decimals, since
 its difference norms and angles may be summed in another order without
 changing what they mean.
+
+The bytes of ``validate --quick --seed 0``'s ``gates.json`` are pinned
+whole, at one and two trial threads. Its measured values are exact ratios,
+fractions and medians of the Monte Carlo reports, so a change that moves
+any report's last bit can show up here.
 """
 
 import hashlib
@@ -35,6 +40,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from circembed import cli
 from circembed.embedders import (
     embed_points,
     materialize_operator,
@@ -155,6 +161,13 @@ COHERENCE_DIGESTS = {
 }
 
 
+# --threads -> sha256 of the gates.json that validate --quick --seed 0 writes
+GATES_DIGESTS = {
+    1: "f89e822e9a0337b964f838f752f323760899fd25494ad4e11657a68f5a30fc62",
+    2: "f89e822e9a0337b964f838f752f323760899fd25494ad4e11657a68f5a30fc62",
+}
+
+
 def _repr_sha256(values) -> str:
     return hashlib.sha256(repr(tuple(values)).encode()).hexdigest()
 
@@ -249,3 +262,11 @@ def test_coherence_is_pinned(case):
     kind, n, N = case
     stats = coherence(generate_pointset(kind, n, N, 700 + n))
     assert _sha256(_rounded((stats.rho_direct, stats.rho_cross, stats.theta_min))) == COHERENCE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("threads", sorted(GATES_DIGESTS))
+def test_quick_gates_json_is_pinned(threads, tmp_path, capsys):
+    out = tmp_path / "gates.json"
+    assert cli.main(["validate", "--quick", "--seed", "0", "--threads", str(threads), "--json-out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GATES_DIGESTS[threads]

@@ -13,6 +13,7 @@ from circembed.transforms import (
     _correlate,
     _CorrelationPlan,
     _fwht_inplace,
+    _shift_rows,
     circulant_apply,
     fwht,
     hadamard_matrix,
@@ -54,6 +55,25 @@ def test_shift_inverse_and_norm(data):
     y = shift(x, i)
     assert math.isclose(np.linalg.norm(y), np.linalg.norm(x), abs_tol=1e-12)
     np.testing.assert_array_equal(shift(y, (n - i) % n), x)
+
+
+def _shift_row_sets(n, k):
+    """Row sets of size k holding 0 and n - 1 between them, the rest shuffled."""
+    if k == 1:
+        return [np.array([0]), np.array([n - 1])]
+    rest = 1 + np.random.default_rng(n * 7919 + k).permutation(max(n - 2, 0))
+    return [np.concatenate(([0], rest[: k - 2], [n - 1])).astype(np.int64)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 256, 1000])
+def test_shift_rows_is_the_modular_gather(n):
+    v = Stream(n, "shift_rows").normals(n)
+    for k in sorted({1, max(1, n // 2), n}):
+        for S in _shift_row_sets(n, k):
+            got = _shift_rows(v, S)
+            want = v[(S[:, None] + np.arange(n)) % n]
+            assert got.dtype == want.dtype and got.shape == want.shape == (k, n)
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- circulant

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circembed import geometry, validation
+from circembed import _blas, geometry, validation
 from circembed.embedders import embed_points, sample_operator
 from circembed.geometry import PointSet, angular_distance, coherence, hamming_normalized
 from circembed.io import generate_pointset
@@ -467,7 +467,8 @@ def _decomposition_reference(x, y, r, S):
 
 
 def _loop(x, y, r, S):
-    return _decomposition_loop(_shift_rows(r * x, S), _shift_rows(r * y, S))
+    P_cols, degenerate = _decomposition_loop(_shift_rows(r * x, S), _shift_rows(r * y, S))
+    return validation._max_col(P_cols, 1), _blas.norm2(P_cols), degenerate
 
 
 def _draws(n, k):
@@ -593,3 +594,31 @@ def test_gate_suite_quick_mode_passes():
     for g in gates:
         assert g.op in ("<=", ">=")
         assert math.isfinite(g.measured)
+
+
+@pytest.mark.parametrize("k", [8, 32, 128])
+def test_col_growth_gate_reads_the_experiments_column_norms(k, monkeypatch):
+    x, y = flat_pair(256)  # the gate suite's pair, bit for bit
+    seed = derive_seed(0, f"gate:decomposition:k={k}")
+    with _blas.one_thread():
+        got = validation._max_col_trials(x, y, k, 30, seed, 2)
+    assert got == decomposition_experiment(x, y, k, 0.15, 30, seed, threads=2).per_trial_max_col
+    # y = x puts every column inside the running span, so every draw takes the loop
+    calls = []
+    loop = validation._decomposition_loop
+    monkeypatch.setattr(validation, "_decomposition_loop", lambda X, Y: calls.append(1) or loop(X, Y))
+    with _blas.one_thread():
+        got = validation._max_col_trials(x, x, k, 3, seed, 1)
+    assert got == decomposition_experiment(x, x, k, 0.15, 3, seed).per_trial_max_col
+    assert len(calls) == 6
+
+
+def test_gate_suite_takes_spectral_norms_only_for_the_P_gate(monkeypatch):
+    # decomposition_P_within_7 reads the 30 spectral norms of its k=8 trials;
+    # decomposition_col_growth reads column norms only
+    shapes = []
+    norm2 = _blas.norm2
+    monkeypatch.setattr(_blas, "norm2", lambda a: shapes.append(np.shape(a)) or norm2(a))
+    run_gate_suite(seed=0, quick=True)
+    assert len(shapes) == 30
+    assert all(shape[0] == 16 for shape in shapes)
