@@ -79,7 +79,7 @@ import tracemalloc
 import numpy as np
 
 import circembed
-from circembed import _blas, validation
+from circembed import _blas
 from circembed._pool import WORKERS
 from circembed.cli import main as cli_main
 from circembed.embedders import (
@@ -109,6 +109,7 @@ from circembed.rng import Rng, Stream
 from circembed.transforms import _shift_rows, circulant_apply, fwht
 from circembed.validation import (
     _distortion,
+    _max_col_trials,
     _pair_table,
     conditioning_experiment,
     decomposition_experiment,
@@ -267,14 +268,8 @@ def build_suite_cases(seed: int):
     return [(f"gate suite threads={threads}", lambda: run_gate_suite(seed, quick=True, threads=threads))]
 
 
-@_blas.one_thread()
-def col_growth_trials(x, y, k: int, trials: int, seed: int, threads: int) -> tuple:
-    """The per-trial max column norms the column-growth gate reads, computed as
-    the timed source's gate computes them: a source with no ``_max_col_trials``
-    reads them off ``decomposition_experiment``."""
-    if hasattr(validation, "_max_col_trials"):
-        return validation._max_col_trials(x, y, k, trials, seed, threads)
-    return decomposition_experiment(x, y, k, 0.15, trials, seed, threads=threads).per_trial_max_col
+# the column-growth gate's trials, on one BLAS thread as run_gate_suite runs them
+col_growth_trials = _blas.one_thread()(_max_col_trials)
 
 
 def build_lapack_cases(seed: int):

@@ -29,6 +29,7 @@ import argparse
 import functools
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,7 @@ from . import _blas, _pool, embedders, rng
 from .embedders import (
     KINDS,
     R_DISTS,
-    CirculantOperator,
-    GaussianOperator,
-    RandomizedOperator,
+    Operator,
     embed_points,
     read_operator_record,
     sample_operator,
@@ -48,6 +47,7 @@ from .embedders import (
 from .errors import ParseError
 from .geometry import coherence
 from .io import (
+    POINTSET_KINDS,
     ResultDocument,
     generate_pointset,
     load_codes,
@@ -105,7 +105,7 @@ def cmd_embed(args) -> int:
     return 0
 
 
-_CLASS_NAMES = {cls.kind: cls.__name__ for cls in (GaussianOperator, CirculantOperator, RandomizedOperator)}
+_CLASS_NAMES = {cls.kind: cls.__name__ for cls in typing.get_args(Operator)}
 
 
 def cmd_eval(args) -> int:
@@ -289,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic point set (PSET1)")
-    p.add_argument("--kind", required=True,
-                   choices=["uniform_sphere", "flat_signs", "spiky", "clustered_pairs"])
+    p.add_argument("--kind", required=True, choices=POINTSET_KINDS)
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--N", type=int, required=True, help="number of points")
     p.add_argument("--theta", type=float, default=None, help="pair angle for clustered_pairs")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedders
-from .embedders import _BLOCK_ENTRIES, _row_blocks
+from .embedders import _row_blocks
 
 __all__ = [
     "PointSet",
@@ -237,7 +237,7 @@ def _coherence(P: np.ndarray) -> CoherenceStats:
     rho_direct = float(top.max())
     # differences go through reused buffers of about _BLOCK_ENTRIES entries
     # each, which stay in cache, instead of a fresh (N - i) x n array per row
-    rows = min(max(1, _BLOCK_ENTRIES // n), N)
+    rows = min(max(1, embedders._BLOCK_ENTRIES // n), N)
     buf = np.empty((2, rows, n))
     # A pair (i, j) is skipped when a rigorous upper bound on the ratio its
     # exact path would compute lies strictly below rho_cross, so it cannot

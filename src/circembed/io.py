@@ -35,6 +35,7 @@ from .geometry import _UNIT_ATOL, PointSet, _normalize_rows, _require_unit, _row
 from .rng import Rng
 
 __all__ = [
+    "POINTSET_KINDS",
     "ResultDocument",
     "load_pointset",
     "save_pointset",
@@ -56,7 +57,7 @@ _WARN_TOL = 1e-6  # rows off by more than this additionally warn
 _LEAST_EXACT_NORM = 2.0**-460
 _CODE_TOKENS = frozenset(("+1", "-1", "1"))
 _SCHEMA_VERSIONS = ("1", "2")  # readable; the last is written
-_PAIRS_PER_CHUNK = 65536  # bounds the Python floats alive while a pair table is written
+POINTSET_KINDS = ("uniform_sphere", "flat_signs", "spiky", "clustered_pairs")  # what generate_pointset makes
 
 
 def _text(data: bytes) -> str:
@@ -322,11 +323,12 @@ def save_result(doc: ResultDocument, path) -> None:
 
 
 def save_pairs(pairs, path) -> None:
-    """Write the pair columns (i, j, hamming, angular, diff) as a CSV pair table."""
+    """Write the pair columns (i, j, hamming, angular, diff) as a CSV pair
+    table, a block of pairs at a time, which bounds the Python floats alive."""
     with open(path, "w") as f:
         f.write("i,j,hamming,angular,diff\n")
-        for a in range(0, len(pairs[0]), _PAIRS_PER_CHUNK):
-            rows = zip(*(column[a : a + _PAIRS_PER_CHUNK].tolist() for column in pairs))
+        for block in embedders._row_blocks(len(pairs[0]), 1):
+            rows = zip(*(column[block].tolist() for column in pairs))
             f.writelines(map("%d,%d,%r,%r,%r\n".__mod__, rows))
 
 
@@ -391,7 +393,7 @@ def generate_pointset(kind: str, n: int, N: int, seed: int, params=None) -> Poin
         aux *= math.sin(ang)
         partners += aux
     else:
-        raise ValueError(f"unknown point-set kind {kind!r}")
+        raise ValueError(f"unknown point-set kind {kind!r}; expected one of {', '.join(POINTSET_KINDS)}")
     if params:
         raise ValueError(f"unused params for kind {kind!r}: {sorted(params)}")
     return PointSet(rows)

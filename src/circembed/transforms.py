@@ -208,10 +208,9 @@ def circulant_apply(h, x) -> np.ndarray:
     return _correlate(_CorrelationPlan(hv), xv)
 
 
-# From _SPLIT_MIN on, one FFT over a whole row runs out of cache. A sampled
-# correlation then runs as short FFTs over a (_SPLIT_ROWS, n / _SPLIT_ROWS)
-# view of each row, and its last stage forms only the k entries kept.
-_SPLIT_MIN = 1 << 16
+# From n = _SPLIT_ROWS**2 (2^16) on, the least n whose (_SPLIT_ROWS, n /
+# _SPLIT_ROWS) view cuts into blocks of _SPLIT_ROWS columns, a sampled
+# correlation runs as short FFTs over that view, not one out-of-cache FFT.
 _SPLIT_ROWS = 256
 
 
@@ -222,7 +221,7 @@ class _CorrelationPlan:
     x, the entries out[t] = sum_j h[(S[t] + j) mod n] * x[j]: the entries S
     of circulant_apply(h, x), or all n of them in order when S is None.
 
-    A power-of-2 n of at least _SPLIT_MIN with few entries S takes the split
+    A power-of-2 n >= _SPLIT_ROWS**2 with few entries S takes the split
     path. With B = _SPLIT_ROWS and A = n / B, x[j1 + A j2] is entry (j2, j1)
     of a B x A array. An FFT over j2, the twiddle w^(-m2 j1) with w =
     exp(2 pi i / n), and an FFT over j1 give the spectrum X at m2 + B m1 as
@@ -239,7 +238,7 @@ class _CorrelationPlan:
         fh = np.fft.rfft(h)
         H = _SPLIT_ROWS // 2 + 1
         self.S = S
-        self.split = S is not None and n >= _SPLIT_MIN and not n & (n - 1) and H * S.size <= n
+        self.split = S is not None and n >= _SPLIT_ROWS**2 and not n & (n - 1) and H * S.size <= n
         if not self.split:
             self.fh = fh
             return

@@ -261,6 +261,12 @@ def _pair_table(ps: PointSet, codes: np.ndarray) -> tuple:
     return (*np.triu_indices(ps.N, 1), ham, ang, _score(ham.copy(), ang))
 
 
+# One row of a sweep, a trial of one (k, delta) cell with its CSV line, took
+# 283-419 B under tracemalloc; it counts as this many float64 entries against
+# embedders._MAX_ENTRIES.
+_SWEEP_ROW_ENTRIES = 64
+
+
 @_blas.one_thread()
 def sweep(
     ps: PointSet,
@@ -280,10 +286,16 @@ def sweep(
     grows. Adding a k or a delta to the grid leaves the other reports
     unchanged. The reports of one k equal those of ``distortion_experiment``
     with the seed ``derive_seed(seed, f"cell:k={k}")`` and each delta; the
-    pair angles are computed once for the grid.
+    pair angles are computed once for the grid. A grid of more rows (trials
+    times cells) than ``embedders._MAX_ENTRIES // _SWEEP_ROW_ENTRIES`` is
+    refused before anything is computed.
     """
     k_values = [int(k) for k in k_values]
     deltas = [float(d) for d in delta_values]
+    rows = trials * len(k_values) * len(deltas)
+    if rows * _SWEEP_ROW_ENTRIES > embedders._MAX_ENTRIES:
+        raise ValueError(f"a sweep of {rows} rows (trials x k values x deltas) is over the cap of "
+                         f"{embedders._MAX_ENTRIES // _SWEEP_ROW_ENTRIES}")
     if not k_values or not deltas:
         return []
     ang = _angular_pairs(ps.points)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circembed import _blas, embedders, rng
-from circembed.cli import main
-from circembed.io import load_codes, load_pointset, load_result
+from circembed import _blas, embedders, rng, validation
+from circembed.cli import build_parser, main
+from circembed.io import POINTSET_KINDS, generate_pointset, load_codes, load_pointset, load_result
 
 
 def run(*argv):
@@ -44,6 +44,16 @@ def test_gen_unknown_kind_is_usage_error(tmp_path):
     code = run("gen", "--kind", "torus", "--n", 8, "--N", 4,
                "--out", tmp_path / "x.pset")
     assert code == 2
+
+
+def test_gen_kinds_are_the_io_tuple(tmp_path):
+    gen = build_parser()._subparsers._group_actions[0].choices["gen"]
+    assert next(a for a in gen._actions if a.dest == "kind").choices is POINTSET_KINDS
+    for kind in POINTSET_KINDS:
+        assert run("gen", "--kind", kind, "--n", 8, "--N", 4, "--out", tmp_path / f"{kind}.pset") == 0
+    with pytest.raises(ValueError, match="unknown point-set kind") as e:
+        generate_pointset("torus", 8, 4, 0)
+    assert all(kind in str(e.value) for kind in POINTSET_KINDS)
 
 
 def test_gen_missing_out_is_usage_error():
@@ -368,6 +378,22 @@ def test_sweep_non_finite_delta_is_usage_error_and_writes_nothing(tmp_path, monk
     monkeypatch.setattr(embedders, "sample_operator", lambda *a: pytest.fail("sampled an operator"))
     assert run("sweep", "--pointset", pts, "--kind", "gaussian", "--k-list", 8, f"--delta-list={deltas}",
                "--trials", 2, "--csv-out", tmp_path / "s.csv", "--json-out", tmp_path / "s.json") == 2
+    assert set(tmp_path.iterdir()) == outputs
+
+
+def test_sweep_over_the_row_cap_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
+    pts = gen_pointset(tmp_path, N=4)
+    outputs = set(tmp_path.iterdir())
+    monkeypatch.setattr(validation, "_angular_pairs", lambda *a: pytest.fail("computed the angles"))
+    monkeypatch.setattr(validation, "derive_seed", lambda *a: pytest.fail("derived a seed"))
+    cap = embedders._MAX_ENTRIES // validation._SWEEP_ROW_ENTRIES
+    # one row over the cap through the trials, just over it through the
+    # cells, and far over it; no grid at the cap is run
+    for trials, k_list, deltas in ((cap + 1, "8", "0.1"), (cap // 6 + 1, "8,16", "0.1,0.2,0.3"),
+                                   (10**12, "8", "0.1")):
+        assert run("sweep", "--pointset", pts, "--kind", "gaussian", "--k-list", k_list, "--delta-list", deltas,
+                   "--trials", trials, "--csv-out", tmp_path / "s.csv", "--json-out", tmp_path / "s.json") == 2
+        assert f"over the cap of {cap}" in capsys.readouterr().err
     assert set(tmp_path.iterdir()) == outputs
 
 

@@ -337,6 +337,19 @@ def _assert_matches_full_scan(P):
     assert got == want
 
 
+@pytest.mark.parametrize("kind", ["uniform_sphere", "spiky"])
+def test_coherence_difference_rows_follow_the_block_size(monkeypatch, kind):
+    # the difference buffers are sized from embedders._BLOCK_ENTRIES when
+    # coherence runs; spiky sets reach both the dense rows and the gathered pairs
+    P = generate_pointset(kind, 8, 200, 3).points
+    want = coherence(PointSet(points=P))
+    monkeypatch.setattr(embedders, "_BLOCK_ENTRIES", 64)
+    rows, max_ratio = [], geometry._max_ratio
+    monkeypatch.setattr(geometry, "_max_ratio", lambda D: rows.append(D.shape[0]) or max_ratio(D))
+    assert coherence(PointSet(points=P)) == want
+    assert rows and max(rows) <= 64 // 8
+
+
 @pytest.mark.parametrize("kind", ["uniform_sphere", "flat_signs", "spiky", "clustered_pairs"])
 @pytest.mark.parametrize("n, N", [(2, 64), (8, 300), (64, 200), (300, 120)])
 def test_coherence_matches_full_scan_on_every_kind(kind, n, N):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from circembed import _pool, embedders, rng
-from circembed import io as circembed_io
 from circembed.errors import ParseError
 from circembed.geometry import angular_distance, coherence
 from circembed.io import (
@@ -489,7 +488,7 @@ def test_pair_table_rows_are_repr_values_across_chunks(tmp_path, monkeypatch):
     pairs = (i, j, ham, ang, np.abs(ham - ang))
     whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
     save_pairs(pairs, whole)
-    monkeypatch.setattr(circembed_io, "_PAIRS_PER_CHUNK", 2)
+    monkeypatch.setattr(embedders, "_BLOCK_ENTRIES", 2)
     save_pairs(pairs, chunked)
     assert chunked.read_bytes() == whole.read_bytes()
     header, *rows = whole.read_text().splitlines()

@@ -1,3 +1,4 @@
+import copy
 import math
 import threading
 
@@ -158,6 +159,15 @@ def ref_index_subset(gen, n, k):
     return idx[:k].copy()
 
 
+def ref_fisher_yates(gen, n, k):
+    # the same swaps over arange(n), driven by the one vector draw of offsets
+    # that index_subset makes, so the oracle pins the swaps apart from the draw
+    idx = np.arange(n, dtype=np.int64)
+    for t, u in enumerate(gen.integers(0, n - np.arange(k)).tolist()):
+        idx[t], idx[t + u] = idx[t + u], idx[t]
+    return idx[:k].copy()
+
+
 _EDGE_SIZES = [0, 1, 7, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 4 * _CHUNK + 3, 2**20 + 1]
 _sizes = st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(0, 6 * _CHUNK))
 # a prior state: uniforms move buffer_pos through 1-4, and a single sign
@@ -196,15 +206,23 @@ def test_chunked_draws_equal_the_serial_reference(seed, prefix, size, method):
     _assert_same_stream_after(a, b)
 
 
-@given(st.integers(0, 2**64 - 1), _prefix, st.integers(1, 3000), st.data())
+@given(st.integers(0, 2**64 - 1), _prefix, st.integers(1, 3000),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+@example(1, ["sign"], 3000, 1.0)
+@example(2, ["sign", 3], 2999, 0.0)
 @settings(max_examples=60, deadline=None)
-def test_index_subset_equals_the_serial_reference(seed, prefix, n, data):
-    k = data.draw(st.integers(1, n))
+def test_index_subset_equals_the_serial_reference(seed, prefix, n, share):
+    # k = 1, k = n or any k between; a "sign" prefix leaves a 32-bit half
+    # stashed, which integers below 2^32 draw first
+    k = max(1, round(share * n))
     a, b = _twin_streams(seed, prefix)
+    _, c = _twin_streams(seed, prefix)
     got = a.index_subset(n, k)
     assert got.dtype == np.int64
     assert got.tobytes() == ref_index_subset(b._gen, n, k).tobytes()
-    _assert_same_stream_after(a, b)
+    assert got.tobytes() == ref_fisher_yates(c._gen, n, k).tobytes()
+    _assert_same_stream_after(copy.deepcopy(a), b)
+    _assert_same_stream_after(a, c)
 
 
 def test_index_subset_beyond_32_bits_draws_like_scalar_calls():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from circembed import transforms
 from circembed.rng import Stream
 from circembed.transforms import (
     _SPLIT_ROWS,
@@ -143,6 +144,22 @@ def test_split_correlation_matches_shifted_dot_products(p):
     plan = _CorrelationPlan(h, S)
     assert plan.split
     want = np.stack([X @ shift(h, i) for i in S.tolist()], axis=1)
+    np.testing.assert_allclose(_correlate(plan, X), want, atol=1e-9)
+    np.testing.assert_allclose(_correlate(plan, X[1]), want[1], atol=1e-9)
+
+
+@pytest.mark.parametrize("p", [16, 18])
+def test_split_threshold_follows_the_split_rows(monkeypatch, p):
+    # the split view cuts rows of n / _SPLIT_ROWS entries into blocks of
+    # _SPLIT_ROWS, so with 512 rows n = 2^16 must take the whole-row FFT
+    monkeypatch.setattr(transforms, "_SPLIT_ROWS", 512)
+    n = 1 << p
+    s = Stream(37, f"split rows:{n}")
+    h, X = s.normals(n), s.normals(2 * n).reshape(2, n)
+    S = s.index_subset(n, 64)
+    plan = _CorrelationPlan(h, S)
+    assert plan.split == (n >= 512**2)
+    want = np.stack([circulant_apply(h, x)[S] for x in X])
     np.testing.assert_allclose(_correlate(plan, X), want, atol=1e-9)
     np.testing.assert_allclose(_correlate(plan, X[1]), want[1], atol=1e-9)
 
