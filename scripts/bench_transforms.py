@@ -36,12 +36,16 @@ A tenth times sweep of randomized operators over N=1000 points at n=1000,
 k 64 and 256, 3 trials, on one thread, at one delta and at four. An
 eleventh times _shift_rows, the gather of the modulated shift rows each
 conditioning and decomposition trial makes twice, at (n, k) = (256, 128)
-and (1000, 256).
+and (1000, 256). A twelfth times index_subset at k = n = 2^20 and
+k = n = 2^22, one call per repeat (about 0.5 s and 3 s each).
 A memory table, which runs first and in a process of its own, measures at
 n=N=1000 the stages the CLI runs:
 load_pointset, generate_pointset of uniform_sphere, save_pointset,
 evaluate_codes with k=256 and one sweep trial (circulant, k=256, its pair
-angles given, BLAS on one thread). It records, per repetition, the minor
+angles given, BLAS on one thread). It also measures a whole ``sweep``
+command of 2,500 gaussian trials (one k, one delta) on a 3-point set, whose
+peak grows with the rows it writes, and index_subset at k = n = 2^20, whose
+peak over k is the bytes held per pick. It records, per repetition, the minor
 page faults (``ru_minflt``) and the time per call, and the tracemalloc peak
 of one more call: numpy reports its buffers to tracemalloc.
 The header is the output of ``circembed info``: numpy, the BLAS build, its
@@ -296,10 +300,19 @@ def build_shift_cases(seed: int):
     return cases
 
 
+def build_pick_cases(seed: int):
+    return [(f"index_subset n=k=2^{p}", lambda p=p: Stream(seed, "bench").index_subset(1 << p, 1 << p))
+            for p in (20, 22)]
+
+
 def build_memory_cases(seed: int, tmp: str):
     ps = generate_pointset("uniform_sphere", 1000, 1000, seed)
     path = os.path.join(tmp, "pts.pset")
     save_pointset(ps, path)
+    tiny = os.path.join(tmp, "tiny.pset")
+    save_pointset(generate_pointset("uniform_sphere", 8, 3, seed), tiny)
+    sweep_argv = ["sweep", "--pointset", tiny, "--kind", "gaussian", "--k-list", "8", "--delta-list", "0.1",
+                  "--trials", "2500", "--threads", "1", "--csv-out", os.path.join(tmp, "sweep.csv")]
     codes = embed_points(sample_operator("randomized", 1000, 256, seed), ps.points)
     ang = _angular_pairs(ps.points)
 
@@ -307,12 +320,18 @@ def build_memory_cases(seed: int, tmp: str):
         with _blas.one_thread():
             _distortion(ps, ang, "circulant", 256, 1, seed, "gaussian", 1)
 
+    def cli_sweep():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(sweep_argv)
+
     return [
         ("load_pointset", lambda: load_pointset(path)),
         ("generate_pointset uniform_sphere", lambda: generate_pointset("uniform_sphere", 1000, 1000, seed)),
         ("save_pointset", lambda: save_pointset(ps, path)),
         ("evaluate_codes k=256", lambda: evaluate_codes(ps, codes)),
         ("sweep trial circulant k=256", sweep_trial),
+        ("cli sweep gaussian 2500 trials N=3", cli_sweep),
+        ("index_subset n=k=2^20", lambda: Stream(seed, "bench").index_subset(1 << 20, 1 << 20)),
     ]
 
 
@@ -392,7 +411,7 @@ def main() -> int:
     # that of a CLI call, and leaves this one's as the other tables expect it
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         memory = pool.apply(memory_table, (args.seed, args.repeats))
-    print("memory, n=N=1000 (best of the repetitions; tracemalloc peak of one call):")
+    print("memory (best of the repetitions; tracemalloc peak of one call):")
     for name, ms, faults, peak in memory:
         print(f"  {name.ljust(34)} {min(ms):9.3f}ms {min(faults):9.1f} faults {peak / 2**20:8.2f} MiB")
     print()
@@ -435,6 +454,7 @@ def main() -> int:
             ("sweep randomized, N=n=1000, k 64 and 256, 3 trials (one call per repeat):",
              build_sweep_cases(args.seed), 1),
             ("shift rows gather:", build_shift_cases(args.seed), args.calls),
+            ("index_subset at k = n (one call per repeat):", build_pick_cases(args.seed), 1),
         ):
             print()
             print(title)

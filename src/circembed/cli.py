@@ -56,14 +56,11 @@ from .io import (
     save_pairs,
     save_pointset,
     save_result,
+    save_sweep,
 )
 from .validation import _pair_table, evaluate_codes, run_gate_suite, sweep
 
 __all__ = ["main"]
-
-
-def _float_fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _finite_float(text: str) -> float:
@@ -155,9 +152,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_SWEEP_COLUMNS = "kind,n,N,k,delta,trial,max_distortion,mean_distortion"
-
-
 def cmd_sweep(args) -> int:
     ps = load_pointset(args.pointset)
     k_values = [int(v) for v in args.k_list.split(",") if v]
@@ -167,26 +161,10 @@ def cmd_sweep(args) -> int:
         ps, args.kind, k_values, args.delta_list, args.trials, args.seed,
         r_dist=args.r_dist, threads=args.threads,
     )
-    lines = [_SWEEP_COLUMNS]
-    for rep in reports:
-        for t, (mx, mean) in enumerate(zip(rep.per_trial_max, rep.per_trial_mean)):
-            lines.append(
-                f"{rep.kind},{rep.n},{rep.N},{rep.k},{_float_fmt(rep.delta_target)},"
-                f"{t},{_float_fmt(mx)},{_float_fmt(mean)}"
-            )
-    Path(args.csv_out).write_text("\n".join(lines) + "\n")
-    print(f"wrote {args.csv_out} ({len(lines) - 1} rows)")
+    rows = save_sweep(reports, args.csv_out)
+    print(f"wrote {args.csv_out} ({rows} rows)")
     if args.json_out:
-        cells = [
-            {
-                "k": rep.k,
-                "delta": rep.delta_target,
-                "max_distortion": rep.max_distortion,
-                "mean_distortion": rep.mean_distortion,
-                "success_fraction": rep.success_fraction,
-            }
-            for rep in reports
-        ]
+        cells = [{"k": rep.k, "delta": rep.delta_target, **rep.to_stats()} for rep in reports]
         doc = ResultDocument(
             kind="sweep",
             params={

@@ -110,19 +110,23 @@ class CoherenceStats:
     theta_min: float
 
 
-def angular_distance(x, y) -> float:
-    """Angle between two unit vectors, normalized by pi, in [0, 1]."""
+def _unit_pair(x, y) -> tuple:
+    """x and y as float64 unit vectors of one shared dimension >= 2."""
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("angular distance is undefined for zero vectors")
-    if abs(nx - 1.0) > _PRE_ATOL or abs(ny - 1.0) > _PRE_ATOL:
-        raise ValueError(
-            f"inputs must be unit vectors within 1e-6, got norms {nx!r}, {ny!r}"
-        )
-    return float(_angles(np.dot(xv, yv)))
+    for name, v in (("x", xv), ("y", yv)):
+        if v.ndim != 1 or v.size < 2:
+            raise ValueError(f"{name} must be a 1-D vector of length >= 2")
+        if abs(float(np.linalg.norm(v)) - 1.0) > _PRE_ATOL:
+            raise ValueError(f"{name} must be unit norm within {_PRE_ATOL:g}")
+    if xv.size != yv.size:
+        raise ValueError("x and y must share a dimension")
+    return xv, yv
+
+
+def angular_distance(x, y) -> float:
+    """Angle between two unit vectors, normalized by pi, in [0, 1]."""
+    return float(_angles(np.dot(*_unit_pair(x, y))))
 
 
 def hamming_normalized(a, b) -> float:
@@ -353,10 +357,8 @@ def angular_perturbation_bound(x, x_alt, y, y_alt):
     rhs = 5 * sqrt(|<x, y> - <x_alt, y_alt>|). The property suite asserts
     lhs <= rhs on random quadruples.
     """
-    lhs = abs(angular_distance(x, y) - angular_distance(x_alt, y_alt))
-    dot = float(np.dot(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
-    dot_alt = float(
-        np.dot(np.asarray(x_alt, dtype=np.float64), np.asarray(y_alt, dtype=np.float64))
-    )
+    dot = float(np.dot(*_unit_pair(x, y)))
+    dot_alt = float(np.dot(*_unit_pair(x_alt, y_alt)))
+    lhs = abs(float(_angles(dot)) - float(_angles(dot_alt)))
     rhs = 5.0 * math.sqrt(abs(dot - dot_alt))
     return lhs, rhs

@@ -15,6 +15,10 @@ needed to reproduce the run.
 Pair tables (``eval --pairs``): a ``i,j,hamming,angular,diff`` header, then
 one row per pair with each float written by ``repr``, so ``float()`` reads
 back the exact float64. No report holds them; ``validation._pair_table`` builds them.
+
+Sweep tables (``sweep --csv-out``): a
+``kind,n,N,k,delta,trial,max_distortion,mean_distortion`` header, then one
+row per trial of each (k, delta) cell, with 17 significant digits per float.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "load_result",
     "save_result",
     "save_pairs",
+    "save_sweep",
     "generate_pointset",
 ]
 
@@ -167,11 +172,16 @@ def save_pointset(ps: PointSet, path) -> None:
         f.write(np.ascontiguousarray(ps.points, dtype="<f8"))
 
 
+def _g17(v: float) -> str:
+    """v with 17 significant digits, which round-trips float64."""
+    return f"{v:.17g}"
+
+
 def save_pointset_csv(ps: PointSet, path) -> None:
-    lines = [f"dim={ps.n}"]
-    for row in ps.points:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write(f"dim={ps.n}\n")
+        for row in ps.points:
+            f.write(",".join(map(_g17, row.tolist())) + "\n")
 
 
 def load_pointset_csv(path) -> PointSet:
@@ -330,6 +340,18 @@ def save_pairs(pairs, path) -> None:
         for block in embedders._row_blocks(len(pairs[0]), 1):
             rows = zip(*(column[block].tolist() for column in pairs))
             f.writelines(map("%d,%d,%r,%r,%r\n".__mod__, rows))
+
+
+def save_sweep(reports, path) -> int:
+    """Write the trials of sweep reports as a CSV sweep table, a row at a
+    time, and return the number of rows."""
+    with open(path, "w") as f:
+        f.write("kind,n,N,k,delta,trial,max_distortion,mean_distortion\n")
+        for rep in reports:
+            cell = f"{rep.kind},{rep.n},{rep.N},{rep.k},{_g17(rep.delta_target)}"
+            for t, (mx, mean) in enumerate(zip(rep.per_trial_max, rep.per_trial_mean)):
+                f.write(f"{cell},{t},{_g17(mx)},{_g17(mean)}\n")
+    return sum(rep.trials for rep in reports)
 
 
 def load_result(path) -> ResultDocument:

@@ -56,6 +56,14 @@ def _as_vector(x) -> np.ndarray:
     return v
 
 
+def _vector_pair(h, x) -> tuple:
+    """h and x as nonempty 1-D float64 vectors of one length."""
+    hv, xv = _as_vector(h), _as_vector(x)
+    if hv.size != xv.size:
+        raise ValueError(f"length mismatch: h has {hv.size}, x has {xv.size}")
+    return hv, xv
+
+
 def shift(x, i: int) -> np.ndarray:
     """Cyclic shift: output[j] = x[(i + j) mod n]."""
     v = _as_vector(x)
@@ -201,10 +209,7 @@ def circulant_apply(h, x) -> np.ndarray:
     Computed as a circular cross-correlation through the FFT, so the cost is
     O(n log n): output[i] = sum_j h[(i+j) mod n] * x[j].
     """
-    hv = _as_vector(h)
-    xv = _as_vector(x)
-    if hv.size != xv.size:
-        raise ValueError(f"length mismatch: h has {hv.size}, x has {xv.size}")
+    hv, xv = _vector_pair(h, x)
     return _correlate(_CorrelationPlan(hv), xv)
 
 
@@ -295,10 +300,7 @@ def naive_circulant_apply(h, x) -> np.ndarray:
     Builds every row literally as a window into [h, h] and multiplies.
     This is the correctness oracle; it never touches the FFT path.
     """
-    hv = _as_vector(h)
-    xv = _as_vector(x)
-    if hv.size != xv.size:
-        raise ValueError(f"length mismatch: h has {hv.size}, x has {xv.size}")
+    hv, xv = _vector_pair(h, x)
     n = hv.size
     hh = np.concatenate([hv, hv])
     rows = np.lib.stride_tricks.sliding_window_view(hh, n)[:n]

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _blas, embedders
 from ._pool import fan_out
-from .geometry import _PRE_ATOL, PointSet, _angular_pairs, _coherence, _hamming_pairs, _worst_per_point, angular_distance
+from .geometry import PointSet, _angular_pairs, _coherence, _hamming_pairs, _unit_pair, _worst_per_point, angular_distance
 from .rng import Rng, derive_seed
 from .transforms import _shift_rows
 
@@ -64,20 +64,6 @@ def _run_trials(fn: Callable[[int], object], trials: int, seed: int, threads: in
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return fan_out(fn, [derive_seed(seed, f"trial:{t}") for t in range(trials)], int(threads))
-
-
-def _unit_pair(x, y) -> tuple:
-    """x and y as float64 unit vectors of one shared dimension >= 2."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    for name, v in (("x", xv), ("y", yv)):
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError(f"{name} must be a 1-D vector of length >= 2")
-        if abs(float(np.linalg.norm(v)) - 1.0) > _PRE_ATOL:
-            raise ValueError(f"{name} must be unit norm within {_PRE_ATOL:g}")
-    if xv.size != yv.size:
-        raise ValueError("x and y must share a dimension")
-    return xv, yv
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +247,10 @@ def _pair_table(ps: PointSet, codes: np.ndarray) -> tuple:
     return (*np.triu_indices(ps.N, 1), ham, ang, _score(ham.copy(), ang))
 
 
-# One row of a sweep, a trial of one (k, delta) cell with its CSV line, took
-# 283-419 B under tracemalloc; it counts as this many float64 entries against
-# embedders._MAX_ENTRIES.
+# One row of a sweep, a trial of one (k, delta) cell, took 39-185 B under
+# tracemalloc with its CSV line written as it goes (185 B with one k and one
+# delta, less as cells share a trial's results); it counts as this many
+# float64 entries against embedders._MAX_ENTRIES.
 _SWEEP_ROW_ENTRIES = 64
 
 

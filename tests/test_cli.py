@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,28 @@ def test_sweep_over_the_row_cap_is_usage_error_before_any_work(tmp_path, monkeyp
     assert set(tmp_path.iterdir()) == outputs
 
 
+@pytest.mark.parametrize("kind, k_list, deltas", [
+    ("gaussian", "8", "0.1"),
+    ("circulant", "2,4,8", "0.1,0.3"),
+    ("randomized", "2,4,8", "0.05,0.1,0.2,0.4"),
+])
+def test_sweep_row_costs_at_most_256_bytes_at_its_peak(tmp_path, kind, k_list, deltas):
+    pts = gen_pointset(tmp_path, n=8, N=3)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert run("sweep", "--pointset", pts, "--kind", kind, "--k-list", k_list, "--delta-list", deltas,
+                       "--trials", trials, "--threads", 1, "--csv-out", tmp_path / "s.csv") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # imports and first-call caches are paid here, not in the difference below
+    cells = len(k_list.split(",")) * len(deltas.split(","))
+    assert (peak(2500) - peak(500)) / (2000 * cells) <= 256
+
+
 def test_sweep_bad_k_list_is_usage_error(tmp_path):
     pts = gen_pointset(tmp_path)
     assert run("sweep", "--pointset", pts, "--kind", "gaussian",
@@ -542,6 +565,38 @@ def test_eval_takes_any_pset_header_to_a_documented_exit(fuzz_dir, data):
     path.write_bytes(data)
     assert run("eval", "--pointset", path, "--kind", "gaussian", "--k", 1,
                "--out", fuzz_dir / "r.json") in {0, 2, 3}
+
+
+# numeric flags: small values, the edges of the u64 range and beyond it;
+# every size over the cap is refused before anything is allocated
+_huge = st.sampled_from([2**31, 2**63, 2**64 - 1, 2**64, 10**30])
+_int_text = st.one_of(st.integers(-2, 40), _huge).map(str)
+_seed_text = st.one_of(_int_text, st.integers(-2**70, 2**70).map(str))
+
+
+@given(st.sampled_from(POINTSET_KINDS), _int_text, _int_text, _seed_text,
+       st.dictionaries(st.sampled_from(["--theta", "--noise"]), st.floats()))
+@settings(max_examples=100, deadline=None)
+def test_gen_takes_any_numeric_flags_to_a_documented_exit(fuzz_dir, kind, n, N, seed, params):
+    assert run("gen", "--kind", kind, "--n", n, "--N", N, "--seed", seed, "--out", fuzz_dir / "g.pset",
+               *(f"{flag}={value!r}" for flag, value in params.items())) in {0, 2, 3}
+
+
+@given(st.sampled_from(embedders.KINDS), _int_text, _seed_text)
+@settings(max_examples=100, deadline=None)
+def test_embed_takes_any_numeric_flags_to_a_documented_exit(fuzz_dir, kind, k, seed):
+    assert run("embed", "--pointset", fuzz_dir / "pts.pset", "--kind", kind, "--k", k, "--seed", seed,
+               "--out", fuzz_dir / "e.csv") in {0, 2, 3}
+
+
+@given(st.sampled_from(embedders.KINDS), st.lists(st.one_of(st.integers(-1, 9), _huge), min_size=1, max_size=3),
+       st.one_of(st.integers(-1, 4), _huge), st.one_of(st.integers(-1, 4), _huge),
+       st.lists(st.one_of(st.floats(0, 1), st.floats()), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_sweep_takes_any_numeric_flags_to_a_documented_exit(fuzz_dir, kind, k_list, trials, threads, deltas):
+    assert run("sweep", "--pointset", fuzz_dir / "pts.pset", "--kind", kind, f"--k-list={','.join(map(str, k_list))}",
+               "--trials", trials, "--threads", threads, f"--delta-list={','.join(map(repr, deltas))}",
+               "--csv-out", fuzz_dir / "s.csv", "--json-out", fuzz_dir / "s.json") in {0, 2, 3}
 
 
 # ---------------------------------------------------------------- entry point

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -365,6 +366,38 @@ def test_deserialize_rejects_zero_dimensions():
     with pytest.raises(ParseError) as ei:
         deserialize_operator(bytes(blob))
     assert ei.value.offset == 6
+
+
+# n and k over a small range and at the top of the u64 range, where the cap
+# refuses them before anything is drawn
+_dims = st.one_of(st.integers(0, 64), st.sampled_from([2**63, 2**64 - 1]))
+
+
+@given(st.integers(0, len(KINDS) - 1), _dims, _dims, st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_any_record_of_a_known_kind_is_refused_or_embeds(kind, n, k, seed):
+    record = embedders._MAGIC + bytes([kind]) + struct.pack("<QQQ", n, k, seed)
+    try:
+        op = deserialize_operator(record)
+    except ParseError:
+        return
+    X = Stream(seed, "record:x").normals(3 * n).reshape(3, n)
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    code = embed(op, X[1])
+    assert code.dtype == np.int8 and code.shape == (k,)
+    assert np.isin(code, (-1, 1)).all()
+    np.testing.assert_array_equal(code, embed_points(op, X)[1])
+
+
+@given(st.sampled_from(KINDS), st.integers(-3, 12), st.integers(-3, 12), st.sampled_from(embedders.R_DISTS),
+       st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_sample_operator_refuses_or_samples_any_small_shape(kind, n, k, r_dist, seed):
+    try:
+        op = sample_operator(kind, n, k, seed, r_dist)
+    except ValueError:
+        return
+    assert (op.kind, op.n_in, op.k, op.r_dist) == (kind, n, k, r_dist)
 
 
 # --------------------------------------------------------- concentration

@@ -47,6 +47,15 @@ def test_angular_rejects_zero_and_non_unit():
         angular_distance(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
 
 
+# a 2-D pair of unit Frobenius norm, and a pair of length 1
+@pytest.mark.parametrize("v", [np.eye(2) / math.sqrt(2), np.array([1.0])])
+def test_single_pair_checks_refuse_what_is_not_a_vector_of_length_two_or_more(v):
+    with pytest.raises(ValueError, match="1-D vector of length >= 2"):
+        angular_distance(v, v)
+    with pytest.raises(ValueError, match="1-D vector of length >= 2"):
+        angular_perturbation_bound(v, v, v, v)
+
+
 def test_angular_symmetry_and_range():
     s = Stream(41, "sym")
     for _ in range(200):
